@@ -86,7 +86,7 @@ shardsmoke:
 
 # Quick benchmark pass over the tier-1 set (see cmd/benchreport).
 bench:
-	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP' -benchmem . ./internal/view ./internal/memory
+	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|SchedulerHandoff|T1EffortTable|ExhaustiveMP' -benchmem . ./internal/view ./internal/memory ./internal/machine
 
 # Full tier-1 snapshot written to BENCH_<date>.json.
 benchreport:

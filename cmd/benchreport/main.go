@@ -26,9 +26,9 @@ import (
 )
 
 // tierOnePackages is the benchmark set tracked across snapshots: the
-// view-lattice and memory-subsystem microbenchmarks plus the end-to-end
-// harness benchmarks at the repository root.
-var tierOnePackages = []string{".", "./internal/view", "./internal/memory", "./internal/spec"}
+// view-lattice, memory-subsystem and scheduler microbenchmarks plus the
+// end-to-end harness benchmarks at the repository root.
+var tierOnePackages = []string{".", "./internal/view", "./internal/memory", "./internal/machine", "./internal/spec"}
 
 // tierOneBenchmarks is the default -bench regex: the stable cross-snapshot
 // set. The root package's per-figure experiment benchmarks run a whole
@@ -42,7 +42,7 @@ const tierOneBenchNames = "BenchmarkViewJoinInto16|BenchmarkViewClone16|Benchmar
 	"BenchmarkMessagePassingRoundTrip|" +
 	"BenchmarkCheckQueueHB32|BenchmarkCheckQueueAbs32|BenchmarkReplayCommitOrder128|" +
 	"BenchmarkLinearizableSearch|" +
-	"BenchmarkMachineSteps|BenchmarkT1EffortTable|BenchmarkExhaustiveMP|" +
+	"BenchmarkSchedulerHandoff|BenchmarkMachineSteps|BenchmarkT1EffortTable|BenchmarkExhaustiveMP|" +
 	"BenchmarkMSQueueVerifiedExecution|BenchmarkHWQueueVerifiedExecution|" +
 	"BenchmarkTreiberVerifiedExecution"
 

@@ -4,7 +4,7 @@
 // replay, golden traces, shrinking, and prefix-partitioned parallel
 // exploration sound — so the core may not read wall clocks, draw from
 // the global math/rand stream, iterate maps in observable order, or
-// spawn goroutines outside the lockstep scheduler.
+// spawn goroutines or coroutines outside the lockstep scheduler.
 package detnondet
 
 import (
@@ -24,13 +24,17 @@ deterministic functions of strategy decisions. Forbidden: time.Now/
 Since/Until (wall clock), package-level math/rand functions (process-
 global stream; seeded *rand.Rand via rand.New(rand.NewSource(seed)) is
 fine), iteration over maps unless the enclosing function is marked
-//compass:orderinsensitive, and go statements unless the enclosing
+//compass:orderinsensitive, and go statements and iter.Pull/iter.Pull2
+calls (a coroutine is a second thread of control) unless the enclosing
 function is marked //compass:scheduler.`,
 	Run: run,
 }
 
 // clockFuncs are the wall-clock reads in package time.
 var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+// coroutineCtors are the package iter functions that start a coroutine.
+var coroutineCtors = map[string]bool{"Pull": true, "Pull2": true}
 
 // seededCtors are the math/rand entry points that build an explicitly
 // seeded generator and are therefore deterministic.
@@ -47,7 +51,7 @@ func run(pass *lint.Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkCall(pass, n)
+				checkCall(pass, file, n)
 			case *ast.RangeStmt:
 				checkRange(pass, file, n)
 			case *ast.GoStmt:
@@ -61,8 +65,15 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-func checkCall(pass *lint.Pass, call *ast.CallExpr) {
-	obj := lint.PkgFunc(pass.TypesInfo, call.Fun)
+func checkCall(pass *lint.Pass, file *ast.File, call *ast.CallExpr) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) { // explicit instantiation, e.g. iter.Pull[int]
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	obj := lint.PkgFunc(pass.TypesInfo, fun)
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Signature().Recv() != nil {
 		return // methods (e.g. on a seeded *rand.Rand) are fine
@@ -71,6 +82,10 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr) {
 	case "time":
 		if clockFuncs[fn.Name()] {
 			pass.Reportf(call.Pos(), "call to time.%s: wall-clock reads make executions irreproducible; derive timing from step counts", fn.Name())
+		}
+	case "iter":
+		if coroutineCtors[fn.Name()] && !lint.FuncDirective(file, call.Pos(), "scheduler") {
+			pass.Reportf(call.Pos(), "coroutine started by iter.%s outside the scheduler; all concurrency in the core must go through the lockstep scheduler (mark the scheduler itself //compass:scheduler)", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededCtors[fn.Name()] {

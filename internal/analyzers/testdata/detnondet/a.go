@@ -3,6 +3,7 @@
 package detnondet
 
 import (
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -56,6 +57,29 @@ func spawn(done chan struct{}) {
 //compass:scheduler
 func schedule(done chan struct{}) {
 	go func() { close(done) }() // ok: the scheduler itself
+}
+
+func count(yield func(int) bool) {
+	for i := 0; yield(i); i++ {
+	}
+}
+
+func pull() {
+	next, stop := iter.Pull(count) // want `coroutine started by iter.Pull outside the scheduler`
+	defer stop()
+	next()
+	_, stop2 := iter.Pull2[int, int](func(yield func(int, int) bool) {}) // want `coroutine started by iter.Pull2 outside the scheduler`
+	stop2()
+}
+
+// scheduleCoroutine stands in for the lockstep scheduler's coroutine
+// constructor.
+//
+//compass:scheduler
+func scheduleCoroutine() {
+	next, stop := iter.Pull(count) // ok: the scheduler itself
+	defer stop()
+	next()
 }
 
 func sliceRange(xs []int) int {

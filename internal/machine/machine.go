@@ -5,9 +5,11 @@
 // nondeterminism: which thread steps next, and which visible message a
 // relaxed/acquire read observes.
 //
-// Threads run as goroutines but proceed in strict lockstep with the
-// scheduler: exactly one thread is ever between "granted" and "parked", so
-// the shared memory needs no locking and executions are deterministic
+// Threads run as runtime coroutines (iter.Pull) in strict lockstep with
+// the scheduler: a thread body runs only inside the controller's call to
+// its next(), and hands control back by yielding at its next scheduling
+// point, so exactly one thread is ever between "granted" and "parked", the
+// shared memory needs no locking, and executions are deterministic
 // functions of the strategy's decisions (enabling replay and exhaustive
 // exploration).
 package machine
@@ -109,7 +111,8 @@ func (r *Result) Trace() []string {
 type Strategy interface {
 	// PickThread picks the next thread to step among the runnable ones
 	// (indices into the program's thread list; 0 is the main thread).
-	// Called only when len(runnable) > 1.
+	// Called only when len(runnable) > 1. The slice is scheduler scratch,
+	// valid only for the duration of the call.
 	PickThread(runnable []int) int
 	// Choose picks among n > 1 visible messages for a read.
 	Choose(n int) int
@@ -121,6 +124,8 @@ type abort struct {
 	err    error
 }
 
+// killed is the panic payload that unwinds a parked thread when the run
+// is torn down (its yield returned false).
 type killed struct{}
 
 // accessAbort classifies a memory-access error: footprint-certificate
@@ -140,6 +145,14 @@ type Thread struct {
 	id int
 	tv *memory.ThreadView
 	mc *controller
+	// Coroutine plumbing (see Runner.Run): yield parks the thread and
+	// reports false once the run is being torn down; next resumes it until
+	// its next park (false once the body has returned); stop unwinds it.
+	// exit is the abort that ended the body, if any.
+	yield func(int) bool
+	next  func() (int, bool)
+	stop  func()
+	exit  *abort
 }
 
 // ID returns the thread's index: 0 for the main thread, 1..N for workers.
@@ -153,19 +166,12 @@ func (t *Thread) TV() *memory.ThreadView { return t.tv }
 // describes the operation the thread will perform once granted; under
 // partial-order reduction the controller consults it to decide which
 // pending steps commute. The write to pending happens-before the
-// controller's read via the events channel send.
+// controller's read: yield switches control to the controller directly.
 func (t *Thread) step(op memory.Access) {
 	if t.mc.por != POROff {
 		t.mc.pending[t.id] = op
 	}
-	select {
-	case t.mc.events <- event{tid: t.id, kind: evRequest}:
-	case <-t.mc.kill:
-		panic(killed{})
-	}
-	select {
-	case <-t.mc.grants[t.id]:
-	case <-t.mc.kill:
+	if !t.yield(evRequest) {
 		panic(killed{})
 	}
 	t.mc.steps++
@@ -381,29 +387,17 @@ func (t *Thread) Failf(format string, args ...interface{}) {
 // Mem exposes the underlying memory (read-only use: histories, names).
 func (t *Thread) Mem() *memory.Memory { return t.mc.mem }
 
-// event kinds flowing from threads to the controller.
+// Values a thread yields to the controller when it parks.
 const (
 	evRequest = iota // thread wants to take its next step
-	evFinished
-	evAborted
-	evSpawn // main thread is ready for workers to start
+	evSpawn          // main thread is ready for workers to start
 )
-
-type event struct {
-	tid    int
-	kind   int
-	status Status
-	err    error
-}
 
 type controller struct {
 	mem     *memory.Memory
 	strat   Strategy
 	stats   *telemetry.Stats // nil when telemetry is disabled
 	reads   readChooser      // constructed once per run, not per Read
-	events  chan event
-	grants  []chan struct{}
-	kill    chan struct{}
 	steps   int
 	budget  int
 	outcome map[string]int64
@@ -593,9 +587,15 @@ type Runner struct {
 }
 
 // Run executes prog under the given strategy and returns the result.
-// Run is the lockstep scheduler: the only place simulator goroutines are
-// spawned, and they run strictly one at a time under controller grants.
-// It also records the per-execution footprint-pruning totals, which are
+// Run is the lockstep scheduler: the only place simulator threads are
+// created, each as a coroutine (see pull) that runs only inside the
+// controller's call to its next() and parks by yielding at its next
+// scheduling point. Before Run returns, every thread still parked is
+// stopped, which unwinds it through a killed panic, so no coroutine
+// outlives the execution. A panic in Setup, a worker or Final other than
+// the machine's own aborts (Failf, races, budget) is re-raised in Run's
+// caller with the original value, after the other threads are unwound.
+// Run also records the per-execution footprint-pruning totals, which are
 // facts about the finished execution's memory rather than result
 // accounting (they cannot overshoot an early stop).
 //
@@ -620,9 +620,6 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		strat:   strat,
 		stats:   r.Stats,
 		reads:   readChooser{strat: strat, stats: r.Stats},
-		events:  make(chan event),
-		grants:  make([]chan struct{}, nw+1),
-		kill:    make(chan struct{}),
 		budget:  budget,
 		outcome: map[string]int64{},
 		tracing: r.Trace,
@@ -638,9 +635,6 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 			c.plan = memory.NewPlanOracle(r.Plan, c.mem)
 		}
 	}
-	for i := range c.grants {
-		c.grants[i] = make(chan struct{})
-	}
 	var freeStrat freeDecider
 	if r.Dedup != nil {
 		if fd, ok := strat.(freeDecider); ok {
@@ -654,33 +648,44 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 	}
 
 	mainTV := memory.NewThreadView(0)
-	mainTh := &Thread{id: 0, tv: mainTV, mc: c}
-	workers := make([]*Thread, nw)
-	for i := 0; i < nw; i++ {
-		workers[i] = &Thread{id: i + 1, mc: c} // tv filled at spawn time
+	threads := make([]*Thread, nw+1)
+	threads[0] = &Thread{id: 0, tv: mainTV, mc: c}
+	for i := 1; i <= nw; i++ {
+		threads[i] = &Thread{id: i, mc: c} // tv filled at spawn time
 	}
-
-	runBody := func(t *Thread, body func(*Thread), spawnAfterSetup bool) {
-		defer func() {
-			if p := recover(); p != nil {
-				switch a := p.(type) {
-				case abort:
-					c.events <- event{tid: t.id, kind: evAborted, status: a.status, err: a.err}
-				case killed:
-					// controller is tearing the run down; exit silently
-				default:
-					panic(p)
-				}
-				return
+	workers := threads[1:]
+	defer func() {
+		for _, t := range threads {
+			if t.stop != nil {
+				t.stop()
 			}
-			c.events <- event{tid: t.id, kind: evFinished}
-		}()
-		body(t)
-		_ = spawnAfterSetup
+		}
+	}()
+
+	// spawn makes t a coroutine running body. The wrapper records an abort
+	// in t.exit and swallows a teardown kill, so next() reports both as a
+	// finished thread; any other panic propagates through next().
+	spawn := func(t *Thread, body func(*Thread)) {
+		t.next, t.stop = pull(func(yield func(int) bool) {
+			t.yield = yield
+			defer func() {
+				if p := recover(); p != nil {
+					switch a := p.(type) {
+					case abort:
+						t.exit = &a
+					case killed:
+						// the controller is tearing the run down
+					default:
+						panic(p)
+					}
+				}
+			}()
+			body(t)
+		})
 	}
 
 	// Main thread body: setup, spawn workers, wait, final.
-	go runBody(mainTh, func(t *Thread) {
+	spawn(threads[0], func(t *Thread) {
 		if prog.Setup != nil {
 			prog.Setup(t)
 		}
@@ -690,24 +695,17 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		if err := t.mc.mem.SealSetup(); err != nil {
 			panic(abort{status: Failed, err: err})
 		}
-		// Signal the controller to start the workers; block until they all
+		// Signal the controller to start the workers; park until they all
 		// finish (the controller re-grants main afterwards).
-		select {
-		case c.events <- event{tid: 0, kind: evSpawn}:
-		case <-c.kill:
-			panic(killed{})
-		}
-		select {
-		case <-c.grants[0]:
-		case <-c.kill:
+		if !t.yield(evSpawn) {
 			panic(killed{})
 		}
 		if prog.Final != nil {
 			prog.Final(t)
 		}
-	}, false)
+	})
 
-	// Controller loop.
+	// Controller.
 	type tstate uint8
 	const (
 		computing tstate = iota // between grant and next park
@@ -717,10 +715,10 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		unstarted
 	)
 	states := make([]tstate, nw+1)
-	states[0] = computing
 	for i := 1; i <= nw; i++ {
 		states[i] = unstarted
 	}
+	runBuf := make([]int, 0, nw+1) // runnable-thread scratch, reused per decision
 	var tvScratch []*memory.ThreadView
 	if c.dedup != nil {
 		tvScratch = make([]*memory.ThreadView, nw+1)
@@ -735,81 +733,67 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 			c.stats.PORRunWakeups(c.wakes)
 		}
 	}
+	// grant runs thread tid until it parks again, finishes or aborts.
+	grant := func(tid int) {
+		t := threads[tid]
+		states[tid] = computing
+		ev, ok := t.next()
+		switch {
+		case t.exit != nil:
+			finish(t.exit.status, t.exit.err)
+		case !ok:
+			states[tid] = done
+			if c.por != POROff {
+				c.doneMask |= 1 << uint(tid)
+			}
+			if tid == 0 {
+				finish(OK, nil)
+			}
+		case ev == evSpawn:
+			states[0] = blocked
+			// Fork the views now (main is parked and won't move); the
+			// workers themselves start one at a time below.
+			for i, w := range workers {
+				w.tv = mainTV.Fork(i + 1)
+			}
+			if nw == 0 {
+				states[0] = parked // will be resumed below
+			}
+		default:
+			states[tid] = parked
+		}
+	}
 
+	grant(0)
+	started := 0
 	for final == nil {
-		// Wait until no thread is computing.
-		anyComputing := false
-		for _, s := range states {
-			if s == computing {
-				anyComputing = true
-			}
-		}
-		if anyComputing {
-			ev := <-c.events
-			switch ev.kind {
-			case evRequest:
-				states[ev.tid] = parked
-			case evFinished:
-				states[ev.tid] = done
-				if c.por != POROff {
-					c.doneMask |= 1 << uint(ev.tid)
-				}
-				if ev.tid == 0 {
-					finish(OK, nil)
-				}
-			case evAborted:
-				finish(ev.status, ev.err)
-			case evSpawn:
-				states[0] = blocked
-				for i := 1; i <= nw; i++ {
-					// Fork the views now (main is blocked and won't move),
-					// but start the goroutines one at a time below: the
-					// segment of a worker body before its first machine
-					// operation runs unscheduled, so a simultaneous start
-					// would race on the shared recorder.
-					workers[i-1].tv = mainTV.Fork(i)
-				}
-				if nw == 0 {
-					states[0] = parked // will be resumed below
-				}
-			}
-			continue
-		}
-		// Start the next unstarted worker, serially in thread order: it
-		// computes alone until its first park, preserving the
-		// one-thread-at-a-time invariant without adding decision points.
-		if startedNext := func() bool {
-			for i := 1; i <= nw; i++ {
-				if states[i] == unstarted && states[0] == blocked {
-					states[i] = computing
-					go runBody(workers[i-1], prog.Workers[i-1], false)
-					return true
-				}
-			}
-			return false
-		}(); startedNext {
-			continue
-		}
-		// All threads parked/blocked/done. If workers are all done and main
-		// is blocked, join worker views and resume main.
 		if states[0] == blocked {
+			// Start the next worker, serially in thread order: it computes
+			// alone until its first park, preserving the one-thread-at-a-time
+			// invariant without adding decision points.
+			if started < nw {
+				started++
+				spawn(threads[started], prog.Workers[started-1])
+				grant(started)
+				continue
+			}
+			// If the workers are all done, join their views and resume main.
 			allDone := true
-			for i := 1; i <= nw; i++ {
-				if states[i] != done {
+			for _, s := range states[1:] {
+				if s != done {
 					allDone = false
 				}
 			}
 			if allDone {
-				for i := 0; i < nw; i++ {
-					mainTV.JoinClock(workers[i].tv.Cur)
+				for _, w := range workers {
+					mainTV.JoinClock(w.tv.Cur)
 				}
-				states[0] = computing
-				c.grants[0] <- struct{}{}
+				grant(0)
 				continue
 			}
 		}
 		// Pick a parked thread to grant.
-		runnable := runnable(states[:], int(parked))
+		runnable := runnable(runBuf, states, int(parked))
 		if len(runnable) == 0 {
 			finish(Failed, errors.New("machine: deadlock (no runnable thread)"))
 			break
@@ -836,9 +820,8 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 			for _, s := range states {
 				buf = append(buf, byte(s))
 			}
-			tvScratch[0] = mainTV
-			for i, w := range workers {
-				tvScratch[i+1] = w.tv
+			for i, t := range threads {
+				tvScratch[i] = t.tv
 			}
 			buf = c.appendDedupState(buf, tvScratch)
 			c.canonBuf = buf
@@ -856,16 +839,14 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 			c.porCommit(cand, idx)
 		}
 		c.stats.ThreadPick(pick)
-		states[pick] = computing
-		c.grants[pick] <- struct{}{}
+		grant(pick)
 	}
-
-	close(c.kill)
 	return final
 }
 
-func runnable[T ~uint8](states []T, parked int) []int {
-	var out []int
+// runnable appends to dst[:0] the indices of the threads in state parked.
+func runnable[T ~uint8](dst []int, states []T, parked int) []int {
+	out := dst[:0]
 	for i, s := range states {
 		if int(s) == parked {
 			out = append(out, i)

@@ -148,7 +148,7 @@ func TestExploreStatsCountBudgetExecs(t *testing.T) {
 func TestStatsAddNoPerStepAllocations(t *testing.T) {
 	// The acceptance bar: enabling counters (no tracing) must not
 	// allocate per machine step. Compare whole-run allocations with and
-	// without a Stats sink; the fixed per-run setup (channels, goroutine,
+	// without a Stats sink; the fixed per-run setup (coroutines, threads,
 	// memory) is identical on both sides.
 	build := func() Program {
 		return Program{Setup: func(t *Thread) {
