@@ -51,7 +51,7 @@ golden:
 # Telemetry artifact smoke: emit stats + Chrome trace from a litmus run
 # and validate both against their schemas (what CI's telemetry job does).
 telemetry:
-	$(GO) run ./cmd/litmus -test SB -por=source -prune -plan -stats /tmp/compass_sb.json -trace-out /tmp/compass_sb.trace.json
+	$(GO) run ./cmd/litmus -test SB -por=source -plan -stats /tmp/compass_sb.json -trace-out /tmp/compass_sb.trace.json
 	$(GO) run ./cmd/statcheck -snapshot /tmp/compass_sb.json -trace /tmp/compass_sb.trace.json
 
 # Regenerate the committed static access-plan fixture from the suite

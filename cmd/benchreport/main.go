@@ -58,96 +58,23 @@ type Result struct {
 
 // Report is the file format of BENCH_<date>.json.
 type Report struct {
-	Date       string         `json:"date"`
-	GoVersion  string         `json:"go_version"`
-	GOARCH     string         `json:"goarch"`
-	GOOS       string         `json:"goos"`
-	NumCPU     int            `json:"num_cpu"`
-	BenchTime  string         `json:"benchtime"`
-	BenchRegex string         `json:"bench_regex"`
-	Results    []Result       `json:"results"`
-	Pruning    *PruningReport `json:"pruning,omitempty"`
-	POR        *PORReport     `json:"por,omitempty"`
-	Plan       *PlanReport    `json:"plan,omitempty"`
-	Dedup      *DedupReport   `json:"dedup,omitempty"`
-}
-
-// PruningReport records footprint-pruning effectiveness: the litmus suite
-// plus the footprint-rich workloads, explored exhaustively once without
-// and once with footprint certificates, with the telemetry counters of
-// each sweep side by side. Outcome histograms are identical by
-// construction (the equivalence test in internal/litmus asserts it); what
-// successive BENCH_*.json snapshots track here is how much per-access
-// work the certificates remove. Classic litmus locations are all
-// cross-thread shared, so the nonzero pruning counters come from the
-// footprint-rich workloads — exactly the split the report is meant to
-// surface.
-type PruningReport struct {
-	Tests    int         `json:"tests"`
-	Unpruned PruningSide `json:"unpruned"`
-	Pruned   PruningSide `json:"pruned"`
-}
-
-// PruningSide is one sweep's telemetry: total executions, read choices
-// offered to the strategy, reads answered from a certificate without
-// window computation, and race checks skipped on certified locations.
-type PruningSide struct {
-	Execs             int64   `json:"execs"`
-	ReadChoices       int64   `json:"read_choices"`
-	PrunedReads       int64   `json:"pruned_reads"`
-	RaceChecksSkipped int64   `json:"race_checks_skipped"`
-	Seconds           float64 `json:"seconds"`
-}
-
-// measurePruning runs the exhaustive litmus suite twice — certificates off,
-// then on — and returns the two telemetry snapshots reduced to the pruning
-// counters. Any test failure aborts: a BENCH file must never record numbers
-// from a sweep whose outcomes were wrong.
-func measurePruning(maxRuns int) (*PruningReport, error) {
-	rep := &PruningReport{}
-	tests := append(compass.LitmusSuite(), compass.LitmusFootprintSuite()...)
-	sweep := func(prune bool) (PruningSide, error) {
-		stats := compass.NewTelemetry()
-		start := time.Now()
-		for _, t := range tests {
-			var fp *compass.Footprint
-			if prune {
-				var err error
-				if fp, err = compass.ExtractFootprint(t.Build); err != nil {
-					return PruningSide{}, fmt.Errorf("%s: footprint extraction: %v", t.Name, err)
-				}
-			}
-			res := compass.RunLitmus(t, maxRuns, compass.WithStats(stats), compass.WithFootprint(fp))
-			if !res.OK() {
-				return PruningSide{}, fmt.Errorf("%s: exploration failed (prune=%v):\n%s", t.Name, prune, res)
-			}
-		}
-		snap := stats.Snapshot()
-		return PruningSide{
-			Execs:             snap.Machine.Execs,
-			ReadChoices:       snap.Machine.ReadChoices,
-			PrunedReads:       snap.Machine.PrunedReads,
-			RaceChecksSkipped: snap.Machine.RaceChecksSkipped,
-			Seconds:           time.Since(start).Seconds(),
-		}, nil
-	}
-	var err error
-	if rep.Unpruned, err = sweep(false); err != nil {
-		return nil, err
-	}
-	if rep.Pruned, err = sweep(true); err != nil {
-		return nil, err
-	}
-	rep.Tests = len(tests)
-	return rep, nil
+	Date       string       `json:"date"`
+	GoVersion  string       `json:"go_version"`
+	GOARCH     string       `json:"goarch"`
+	GOOS       string       `json:"goos"`
+	NumCPU     int          `json:"num_cpu"`
+	BenchTime  string       `json:"benchtime"`
+	BenchRegex string       `json:"bench_regex"`
+	Results    []Result     `json:"results"`
+	POR        *PORReport   `json:"por,omitempty"`
+	Plan       *PlanReport  `json:"plan,omitempty"`
+	Dedup      *DedupReport `json:"dedup,omitempty"`
 }
 
 // PORReport records partial-order reduction effectiveness: the litmus
-// suite plus the footprint-rich workloads, each explored exhaustively
-// three times — reduction off, static sleep sets, and source-DPOR.
-// Unlike footprint pruning — which removes per-access work at identical
-// execution counts — POR removes whole executions, so the headline
-// numbers here are per-test execution counts and the sweeps' wall-clock
+// suite plus the locality workloads, each explored exhaustively three
+// times — reduction off, static sleep sets, and source-DPOR. POR removes
+// whole executions, so the headline numbers here are per-test execution counts and the sweeps' wall-clock
 // deltas. Outcome *sets* are identical in all three modes by
 // construction (the equivalence test in internal/litmus asserts it, and
 // measurePOR re-checks per test and mode before recording).
@@ -199,7 +126,7 @@ func outcomeSetsEqual(a, b map[string]int) bool {
 // from a sweep whose outcomes were wrong.
 func measurePOR(maxRuns int) (*PORReport, error) {
 	rep := &PORReport{}
-	tests := append(compass.LitmusSuite(), compass.LitmusFootprintSuite()...)
+	tests := append(compass.LitmusSuite(), compass.LitmusLocalitySuite()...)
 	startOff := time.Now()
 	off := make([]*compass.LitmusResult, len(tests))
 	for i, t := range tests {
@@ -251,7 +178,7 @@ func measurePOR(maxRuns int) (*PORReport, error) {
 }
 
 // PlanReport records static access-plan effectiveness under source-DPOR:
-// the litmus suite, the footprint-rich workloads, and the library
+// the litmus suite, the locality workloads, and the library
 // refinement corpus, each explored exhaustively at -por=source once
 // without and once with the committed static plan installed. The plan
 // refutes conservative dependence verdicts (and forces provably
@@ -286,7 +213,7 @@ type PlanTest struct {
 func measurePlan(maxRuns int) (*PlanReport, error) {
 	rep := &PlanReport{}
 	stats := compass.NewTelemetry()
-	tests := append(compass.LitmusSuite(), compass.LitmusFootprintSuite()...)
+	tests := append(compass.LitmusSuite(), compass.LitmusLocalitySuite()...)
 	startBare := time.Now()
 	bare := make([]*compass.LitmusResult, len(tests))
 	for i, t := range tests {
@@ -346,7 +273,7 @@ func measurePlan(maxRuns int) (*PlanReport, error) {
 }
 
 // DedupReport records state-space deduplication effectiveness: the
-// litmus suite plus the footprint-rich workloads, each explored
+// litmus suite plus the locality workloads, each explored
 // exhaustively in every POR mode — off, sleep sets, source-DPOR — twice:
 // without and with a fresh unbounded dedup visited set. Dedup composes
 // with POR (it cuts runs that re-enter an already-claimed canonical
@@ -386,7 +313,7 @@ type DedupTest struct {
 func measureDedup(maxRuns int) (*DedupReport, error) {
 	rep := &DedupReport{}
 	stats := compass.NewTelemetry()
-	tests := append(compass.LitmusSuite(), compass.LitmusFootprintSuite()...)
+	tests := append(compass.LitmusSuite(), compass.LitmusLocalitySuite()...)
 	modes := []struct {
 		name string
 		mode compass.PORMode
@@ -425,8 +352,7 @@ func main() {
 	bench := flag.String("bench", tierOneBenchmarks, "benchmark name regex passed to -bench")
 	benchtime := flag.String("benchtime", "", "passed to -benchtime (e.g. 100x, 0.5s); empty = go default")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
-	pruning := flag.Bool("pruning", true, "measure footprint-pruning effectiveness over the litmus suite")
-	pruneRuns := flag.Int("prune-max-runs", 400000, "exploration bound per litmus test for the pruning measurement")
+	maxRuns := flag.Int("max-runs", 400000, "exploration bound per litmus test for the reduction measurements")
 	por := flag.Bool("por", true, "measure partial-order reduction effectiveness (off vs sleep vs source) over the litmus suite")
 	planOn := flag.Bool("plan", true, "measure static access-plan effectiveness (plan off vs on at -por=source) over the litmus and library suites")
 	dedup := flag.Bool("dedup", true, "measure state-space dedup effectiveness (dedup off vs on in every POR mode) over the litmus suite")
@@ -459,19 +385,9 @@ func main() {
 		rep.Results = append(rep.Results, parse(pkg, buf.Bytes())...)
 	}
 
-	if *pruning {
-		fmt.Fprintln(os.Stderr, "benchreport: measuring footprint pruning over the litmus suite")
-		pr, err := measurePruning(*pruneRuns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: pruning: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Pruning = pr
-	}
-
 	if *por {
 		fmt.Fprintln(os.Stderr, "benchreport: measuring partial-order reduction over the litmus suite")
-		pr, err := measurePOR(*pruneRuns)
+		pr, err := measurePOR(*maxRuns)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: por: %v\n", err)
 			os.Exit(1)
@@ -485,7 +401,7 @@ func main() {
 
 	if *planOn {
 		fmt.Fprintln(os.Stderr, "benchreport: measuring static access plans at -por=source over the litmus and library suites")
-		pr, err := measurePlan(*pruneRuns)
+		pr, err := measurePlan(*maxRuns)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: plan: %v\n", err)
 			os.Exit(1)
@@ -499,7 +415,7 @@ func main() {
 
 	if *dedup {
 		fmt.Fprintln(os.Stderr, "benchreport: measuring state-space dedup in every POR mode over the litmus suite")
-		dr, err := measureDedup(*pruneRuns)
+		dr, err := measureDedup(*maxRuns)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: dedup: %v\n", err)
 			os.Exit(1)

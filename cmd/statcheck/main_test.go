@@ -11,28 +11,31 @@ import (
 )
 
 // TestSchemaMismatchIsOneLineDiagnostic pins the contract for snapshots
-// from another schema generation: a compass/telemetry/v0 file must fail
-// with exit code 1 and a single diagnostic line naming both the found and
-// the wanted schema version — not a cascade of unknown-field errors from
-// the strict decoder (the v0 fixture deliberately uses a field layout the
-// current schema does not know).
+// from another schema generation: a compass/telemetry/v0 or v1 file must
+// fail with exit code 1 and a single diagnostic line naming both the found
+// and the wanted schema version — not a cascade of unknown-field errors
+// from the strict decoder. Both fixtures carry fields the current schema
+// does not know: v0 a different layout, v1 three machine-section counters
+// that v2 dropped.
 func TestSchemaMismatchIsOneLineDiagnostic(t *testing.T) {
-	var out, errw strings.Builder
-	code := run(filepath.Join("testdata", "v0_snapshot.json"), "", &out, &errw)
-	if code != 1 {
-		t.Fatalf("run = %d, want 1; stderr: %s", code, errw.String())
-	}
-	diag := errw.String()
-	if n := strings.Count(diag, "\n"); n != 1 {
-		t.Fatalf("want exactly one diagnostic line, got %d:\n%s", n, diag)
-	}
-	for _, want := range []string{"compass/telemetry/v0", "compass/telemetry/v1"} {
-		if !strings.Contains(diag, want) {
-			t.Errorf("diagnostic %q does not name %q", diag, want)
+	for _, gen := range []string{"v0", "v1"} {
+		var out, errw strings.Builder
+		code := run(filepath.Join("testdata", gen+"_snapshot.json"), "", &out, &errw)
+		if code != 1 {
+			t.Fatalf("%s: run = %d, want 1; stderr: %s", gen, code, errw.String())
 		}
-	}
-	if strings.Contains(diag, "unknown field") {
-		t.Errorf("diagnostic leaked decoder noise instead of the schema mismatch: %q", diag)
+		diag := errw.String()
+		if n := strings.Count(diag, "\n"); n != 1 {
+			t.Fatalf("%s: want exactly one diagnostic line, got %d:\n%s", gen, n, diag)
+		}
+		for _, want := range []string{"compass/telemetry/" + gen, "compass/telemetry/v2"} {
+			if !strings.Contains(diag, want) {
+				t.Errorf("%s: diagnostic %q does not name %q", gen, diag, want)
+			}
+		}
+		if strings.Contains(diag, "unknown field") {
+			t.Errorf("%s: diagnostic leaked decoder noise instead of the schema mismatch: %q", gen, diag)
+		}
 	}
 }
 
@@ -59,14 +62,14 @@ func TestValidSnapshotPasses(t *testing.T) {
 	}
 }
 
-// TestPORCountersValidate pins forward acceptance of the PR-5 telemetry
-// additions as a fixture, not a round trip: the checked-in snapshot was
-// written by a POR-enabled litmus run and carries nonzero
-// por_branches_skipped and sleep_set_size counters under the unchanged
-// compass/telemetry/v1 schema. If a future schema revision stops
+// TestPORCountersValidate pins forward acceptance of the sleep-set POR
+// telemetry as a fixture, not a round trip: the checked-in snapshot was
+// written by `litmus -test SB -por=sleep -stats` and carries nonzero
+// por_branches_skipped and sleep_set_size counters under the
+// compass/telemetry/v2 schema. If a future schema revision stops
 // accepting these fields, this catches it even after the writer moves on.
 func TestPORCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v1_por_snapshot.json")
+	path := filepath.Join("testdata", "v2_por_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -86,12 +89,12 @@ func TestPORCountersValidate(t *testing.T) {
 // source-DPOR telemetry additions as a fixture: the checked-in snapshot
 // was written by a `litmus -por=source -stats` run over the full suite
 // and carries nonzero por_races_reversed and wakeup_tree_size counters —
-// still under the unchanged compass/telemetry/v1 schema, and satisfying
+// under the compass/telemetry/v2 schema, and satisfying
 // the validator's wakeup_tree_size.sum == por_races_reversed invariant.
 // If a future schema revision stops accepting or validating these
 // fields, this catches it even after the writer moves on.
 func TestSourceDPORCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v1_source_snapshot.json")
+	path := filepath.Join("testdata", "v2_source_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -116,11 +119,11 @@ func TestSourceDPORCountersValidate(t *testing.T) {
 // oracle's telemetry additions as a fixture: the checked-in snapshot was
 // written by `litmus -refine -por=source -test lib/msqueue -stats` and
 // carries nonzero refine_traces_checked plus the refine_state_fanout
-// histogram — still under the unchanged compass/telemetry/v1 schema. If
+// histogram — under the compass/telemetry/v2 schema. If
 // a future schema revision stops accepting these fields, this catches it
 // even after the writer moves on.
 func TestRefineCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v1_refine_snapshot.json")
+	path := filepath.Join("testdata", "v2_refine_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -146,7 +149,7 @@ func TestRefineCountersValidate(t *testing.T) {
 // (a disagreement is recorded at most once per judged trace) must fail
 // validation with a diagnostic naming both counters.
 func TestRefineInvariantRejected(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v1_refine_snapshot.json"))
+	data, err := os.ReadFile(filepath.Join("testdata", "v2_refine_snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +191,15 @@ func TestMissingFileFails(t *testing.T) {
 
 // TestServeCountersValidate pins forward acceptance of the compassd
 // job-progress telemetry as a fixture: the checked-in snapshot is one
-// line of a running job's /jobs/{id}/events NDJSON stream (written by a
-// checkpointing litmus job) and carries nonzero checkpoint counters and
-// the segment_runs histogram under the serve section — still the
-// unchanged compass/telemetry/v1 schema. If a future schema revision
+// line of a running job's /v1/jobs/{id}/events NDJSON stream (a
+// litmus/SB+scfence job at por=sleep on a compassd started with -state
+// and -checkpoint-every 40) and carries nonzero checkpoint counters and
+// the segment_runs histogram under the serve section — the
+// compass/telemetry/v2 schema. If a future schema revision
 // stops accepting these fields, this catches it even after the writer
 // moves on.
 func TestServeCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v1_serve_snapshot.json")
+	path := filepath.Join("testdata", "v2_serve_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -218,15 +222,13 @@ func TestServeCountersValidate(t *testing.T) {
 
 // TestPlanCountersValidate pins forward acceptance of the static
 // access-plan telemetry as a fixture: the checked-in snapshot was
-// written by a `litmus -por=source -prune -plan -refine -stats` run and
-// carries nonzero plan_sites, plan_checks, plan_conflicts_refuted
-// (explore section), and cert_refusals (machine section; the ⊤ library
-// plans veto the extracted exclusivity certificates) — still the
-// unchanged compass/telemetry/v1 schema. If a future schema revision
+// written by a `litmus -por=source -plan -refine -stats` run and carries
+// nonzero plan_sites, plan_checks and plan_conflicts_refuted (explore
+// section) under the compass/telemetry/v2 schema. If a future schema revision
 // stops accepting these fields, this catches it even after the writer
 // moves on.
 func TestPlanCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v1_plan_snapshot.json")
+	path := filepath.Join("testdata", "v2_plan_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -236,16 +238,14 @@ func TestPlanCountersValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, field := range []string{
-		"plan_sites", "plan_checks", "plan_conflicts_refuted", "cert_refusals",
+		"plan_sites", "plan_checks", "plan_conflicts_refuted",
 	} {
 		if !strings.Contains(string(data), field) {
 			t.Errorf("fixture does not exercise %q — regenerate it from a -plan run", field)
 		}
 	}
-	for _, zero := range []string{`"plan_conflicts_refuted": 0`, `"cert_refusals": 0`} {
-		if strings.Contains(string(data), zero) {
-			t.Errorf("fixture carries %s — regenerate it from a `-por=source -prune -plan -refine` run", zero)
-		}
+	if strings.Contains(string(data), `"plan_conflicts_refuted": 0`) {
+		t.Error("fixture carries plan_conflicts_refuted 0 — regenerate it from a `-por=source -plan -refine` run")
 	}
 }
 
@@ -254,7 +254,7 @@ func TestPlanCountersValidate(t *testing.T) {
 // more refutations than oracle consultations must fail with exit code 1
 // and a diagnostic naming both counters.
 func TestCorruptPlanCountersRejected(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v1_plan_snapshot.json"))
+	data, err := os.ReadFile(filepath.Join("testdata", "v2_plan_snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

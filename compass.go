@@ -40,7 +40,6 @@
 package compass
 
 import (
-	"compass/internal/analysis/footprint"
 	"compass/internal/analysis/staticplan"
 	"compass/internal/check"
 	"compass/internal/core"
@@ -332,27 +331,6 @@ func RunChecked(name string, build func() Checked, opt CheckOptions) *Report {
 	return check.Run(name, build, opt)
 }
 
-// RunExhaustive explores every execution of the workload (all schedules
-// and read choices, up to maxRuns with the given per-execution step
-// budget) and checks each one; a complete pass is a proof for the bounded
-// instance.
-//
-// Deprecated: use RunChecked with CheckOptions{Mode: ModeExhaustive,
-// MaxRuns: maxRuns, Budget: budget}.
-func RunExhaustive(name string, build func() Checked, maxRuns, budget int) *Report {
-	return RunChecked(name, build, CheckOptions{Mode: ModeExhaustive, MaxRuns: maxRuns, Budget: budget})
-}
-
-// RunExhaustiveOpts is RunExhaustive driven by CheckOptions: MaxRuns and
-// Budget bound the exploration, MaxFailures/KeepGoing control the early
-// stop, and Workers parallelizes the decision-tree search.
-//
-// Deprecated: set CheckOptions.Mode to ModeExhaustive and use RunChecked.
-func RunExhaustiveOpts(name string, build func() Checked, opt CheckOptions) *Report {
-	opt.Mode = ModeExhaustive
-	return RunChecked(name, build, opt)
-}
-
 // ExplainCheckedOpts replays one seed of a workload with per-step
 // tracing, returning the execution status, the operation log, and any
 // violations — for diagnosing counterexamples reported by RunChecked.
@@ -518,10 +496,6 @@ func WithWorkers(n int) LitmusOption { return litmus.WithWorkers(n) }
 // disables recording).
 func WithStats(stats *Telemetry) LitmusOption { return litmus.WithStats(stats) }
 
-// WithFootprint installs a footprint certificate (nil disables pruning);
-// the outcome histogram is identical with or without a valid certificate.
-func WithFootprint(fp *Footprint) LitmusOption { return litmus.WithFootprint(fp) }
-
 // WithPOR toggles sleep-set partial-order reduction: the outcome set and
 // verdict are identical, the number of explored executions shrinks.
 // WithPOR(true) means sleep sets; use WithPORMode for source-DPOR.
@@ -575,15 +549,15 @@ func OnPORFallback(f func(threads int)) { machine.SetPORFallbackWarn(f) }
 // LitmusSuite returns the ORC11 validation litmus tests.
 func LitmusSuite() []LitmusTest { return litmus.Suite() }
 
-// LitmusFootprintSuite returns the footprint-rich exploration workloads:
-// programs whose locations earn non-trivial certificates (read-only
-// config, thread-exclusive state). They are not part of LitmusSuite —
-// the golden corpus pins that — but share its exploration harness;
-// cmd/benchreport sweeps them to measure pruning effectiveness.
-func LitmusFootprintSuite() []LitmusTest { return litmus.FootprintSuite() }
+// LitmusLocalitySuite returns exploration workloads that mix
+// thread-local and shared locations (read-only config, thread-exclusive
+// state, one shared flag). They are not part of LitmusSuite — the golden
+// corpus pins that — but share its exploration harness; cmd/benchreport
+// sweeps them alongside it.
+func LitmusLocalitySuite() []LitmusTest { return litmus.LocalitySuite() }
 
 // RunLitmus explores a litmus test exhaustively; options (WithWorkers,
-// WithStats, WithFootprint, WithPOR) modify the exploration. With no
+// WithStats, WithPOR, WithPlan, ...) modify the exploration. With no
 // options it keeps its historical meaning: all GOMAXPROCS workers,
 // nothing else.
 func RunLitmus(t LitmusTest, maxRuns int, opts ...LitmusOption) *LitmusResult {
@@ -611,68 +585,9 @@ func RunLibRefinement(t LibTest, maxRuns int, opts ...LitmusOption) *LibResult {
 	return litmus.RunLib(t, maxRuns, opts...)
 }
 
-// ExtractLibFootprint derives a footprint certificate from one recording
-// execution of a library workload's program.
-func ExtractLibFootprint(t LibTest) (*Footprint, error) { return litmus.LibFootprint(t) }
-
-// RunLitmusWorkers is RunLitmus with an explicit worker count
-// (0 = GOMAXPROCS, 1 = sequential).
-//
-// Deprecated: use RunLitmus(t, maxRuns, WithWorkers(workers)).
-func RunLitmusWorkers(t LitmusTest, maxRuns, workers int) *LitmusResult {
-	return litmus.Run(t, maxRuns, litmus.WithWorkers(workers))
-}
-
-// RunLitmusStats is RunLitmusWorkers with a telemetry sink shared across
-// calls (nil disables recording).
-//
-// Deprecated: use RunLitmus(t, maxRuns, WithWorkers(workers),
-// WithStats(stats)).
-func RunLitmusStats(t LitmusTest, maxRuns, workers int, stats *Telemetry) *LitmusResult {
-	return litmus.Run(t, maxRuns, litmus.WithWorkers(workers), litmus.WithStats(stats))
-}
-
 // TraceLitmus replays a litmus test's default schedule with step-event
 // recording, for Chrome trace export.
 func TraceLitmus(t LitmusTest) *ExecResult { return litmus.TraceTest(t) }
-
-// --- Footprint certificates (static-ish exploration pruning). ---
-
-type (
-	// Footprint is a location-footprint certificate: a per-location
-	// classification (exclusive / read-only / shared) extracted from one
-	// recording execution and enforced — not trusted — by the machine.
-	// Certified locations skip race instrumentation and read-window
-	// computation without changing any outcome.
-	Footprint = memory.Footprint
-	// LocCert is one location's certificate within a Footprint.
-	LocCert = memory.LocCert
-	// LocClass classifies a location's post-setup access pattern.
-	LocClass = memory.LocClass
-)
-
-// Location certificate classes.
-const (
-	LocShared    = memory.ClassShared
-	LocExclusive = memory.ClassExclusive
-	LocReadOnly  = memory.ClassReadOnly
-)
-
-// ExtractFootprint derives a footprint certificate from one recording
-// execution of the program (see internal/analysis/footprint).
-func ExtractFootprint(build func() Program) (*Footprint, error) {
-	return footprint.Extract(build)
-}
-
-// RunLitmusFootprint is RunLitmusStats with a footprint certificate
-// installed (nil disables pruning). The outcome histogram is identical
-// with or without a valid certificate.
-//
-// Deprecated: use RunLitmus(t, maxRuns, WithWorkers(workers),
-// WithStats(stats), WithFootprint(fp)).
-func RunLitmusFootprint(t LitmusTest, maxRuns, workers int, stats *Telemetry, fp *Footprint) *LitmusResult {
-	return litmus.Run(t, maxRuns, litmus.WithWorkers(workers), litmus.WithStats(stats), litmus.WithFootprint(fp))
-}
 
 // --- Static access plans (source-level may-analysis). ---
 
@@ -692,18 +607,3 @@ func PlanFor(name string) *Plan { return staticplan.PlanFor(name) }
 // refute conservative dependence verdicts; outcome sets and verdicts are
 // identical with or without it.
 func WithPlan(p *Plan) LitmusOption { return litmus.WithPlan(p) }
-
-// GateFootprint checks a dynamic footprint certificate against a static
-// access plan before exploration: a certificate claim the plan
-// contradicts (exclusivity another thread may violate, read-only a
-// thread may write, all-atomic with non-atomic accesses in a plan) is
-// refused up front instead of aborting mid-exploration. threads is the
-// machine's thread count (workers + main). A nil error admits the
-// certificate; callers refusing a certificate should explore unpruned
-// and record Telemetry.CertRefused.
-func GateFootprint(fp *Footprint, plan *Plan, threads int) error {
-	if ce := footprint.Gate(fp, plan, threads); ce != nil {
-		return ce
-	}
-	return nil
-}

@@ -98,8 +98,8 @@ func TestRunCheckedAndClients(t *testing.T) {
 
 func TestRunExhaustiveFacade(t *testing.T) {
 	ms := func(th *compass.Thread) compass.Queue { return compass.NewMSQueue(th, "q") }
-	rep := compass.RunExhaustive("tiny",
-		compass.QueueMixedWorkload(ms, compass.LevelAbsHB, 1, 1, 1, 1), 100000, 2000)
+	rep := compass.RunChecked("tiny", compass.QueueMixedWorkload(ms, compass.LevelAbsHB, 1, 1, 1, 1),
+		compass.CheckOptions{Mode: compass.ModeExhaustive, MaxRuns: 100000, Budget: 2000})
 	if !rep.Passed() || !rep.Complete {
 		t.Fatalf("%s", rep)
 	}

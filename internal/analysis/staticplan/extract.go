@@ -24,8 +24,7 @@ import (
 //     locations through simulated memory (node tables indexed by values
 //     read back from cells), which no static tracking of view.Loc flow
 //     can follow. The ⊤ verdict still buys the kind-based Refutes
-//     refutations and makes the certificate gate refuse any
-//     exclusivity/read-only claim, both of which are the sound answers.
+//     refutations, which is the sound answer.
 
 // PlanSuiteDirective marks suite functions whose entries get plans.
 const PlanSuiteDirective = "plan-suite"

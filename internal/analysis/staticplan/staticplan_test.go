@@ -63,18 +63,8 @@ func TestDirectPlan(t *testing.T) {
 	if len(p.Threads[2].Sites) != 1 {
 		t.Errorf("worker 1 sites = %v, want only y", p.Threads[2].Sites)
 	}
-	// The final phase is plan thread 0, and its NA read makes the thread
-	// (and only that thread) non-atomic.
+	// The final phase is plan thread 0, with the only NA access.
 	wantSite(t, &p.Threads[0], "x", memory.PlanRead, memory.ModeBit(memory.NA), 0)
-	if !p.Threads[0].UsesNA() || p.Threads[1].UsesNA() || p.Threads[2].UsesNA() {
-		t.Errorf("UsesNA = %v/%v/%v, want true/false/false",
-			p.Threads[0].UsesNA(), p.Threads[1].UsesNA(), p.Threads[2].UsesNA())
-	}
-	for i := range p.Threads {
-		if p.Threads[i].Allocates() {
-			t.Errorf("thread %d Allocates, but all allocation is in setup", i)
-		}
-	}
 }
 
 func TestHelperInlining(t *testing.T) {
@@ -95,9 +85,6 @@ func TestWorkerAlloc(t *testing.T) {
 	}
 	wantSite(t, &p.Threads[1], "scratch",
 		memory.PlanAlloc|memory.PlanWrite|memory.PlanFree, 0, memory.ModeBit(memory.Rlx))
-	if !p.Threads[1].Allocates() {
-		t.Error("worker allocates but Allocates() = false")
-	}
 }
 
 func TestLoopFixpoint(t *testing.T) {
@@ -124,7 +111,7 @@ func TestEscapeIsTop(t *testing.T) {
 		t.Errorf("⊤ reason = %q, want mention of memory-held value", tp.TopReason)
 	}
 	// ⊤ answers every may-question conservatively.
-	if !tp.MayTouch("anything", memory.PlanRead) || !tp.UsesNA() || !tp.Allocates() {
+	if !tp.MayTouch("anything", memory.PlanRead) || !tp.MayTouch("anything", memory.PlanAlloc) {
 		t.Error("⊤ thread must over-approximate everything")
 	}
 }

@@ -28,9 +28,8 @@ exploration options from an Options value so Budget/Trace/Stats/POR
 plumbing cannot be forgotten site by site.
 
 The pass also flags calls to the deprecated run-API shims left behind by
-the consolidation (check.Exhaustive/ExhaustiveOpt/Explain/TraceChecked,
-litmus.RunWorkers*, machine.RunRandom) from outside their defining
-packages, so new code reaches the consolidated entry points directly.`,
+the consolidation (check.Explain/TraceChecked, machine.RunRandom) from
+outside their defining packages, so new code reaches the consolidated entry points directly.`,
 	Run: run,
 }
 
@@ -43,14 +42,9 @@ const machinePath = "compass/internal/machine"
 // for source compatibility until their removal milestone, not for new
 // call sites. Test files are skipped like the rest of this pass.
 var deprecatedRunners = map[string]string{
-	"compass/internal/check.Exhaustive":           "check.Run with Options{Mode: ModeExhaustive}",
-	"compass/internal/check.ExhaustiveOpt":        "check.Run with Options{Mode: ModeExhaustive}",
-	"compass/internal/check.Explain":              "check.ExplainOpt",
-	"compass/internal/check.TraceChecked":         "check.TraceCheckedOpt",
-	"compass/internal/litmus.RunWorkers":          "litmus.Run with WithWorkers",
-	"compass/internal/litmus.RunWorkersStats":     "litmus.Run with WithWorkers and WithStats",
-	"compass/internal/litmus.RunWorkersFootprint": "litmus.Run with WithWorkers, WithStats, and WithFootprint",
-	"compass/internal/machine.RunRandom":          "machine.RunRandomOpt",
+	"compass/internal/check.Explain":      "check.ExplainOpt",
+	"compass/internal/check.TraceChecked": "check.TraceCheckedOpt",
+	"compass/internal/machine.RunRandom":  "machine.RunRandomOpt",
 }
 
 // policed maps the funneled machine types to their sanctioning directive
@@ -65,7 +59,7 @@ var policed = map[string]struct {
 	},
 	"ExploreOpts": {
 		directive: "explore-ctor",
-		message:   "machine.ExploreOpts constructed directly: go through check.Options.ExploreOpts so MaxRuns/Workers/Stats/Footprint/POR plumbing stays uniform (sanctioned constructors carry //compass:explore-ctor)",
+		message:   "machine.ExploreOpts constructed directly: go through check.Options.ExploreOpts so MaxRuns/Workers/Stats/POR plumbing stays uniform (sanctioned constructors carry //compass:explore-ctor)",
 	},
 }
 

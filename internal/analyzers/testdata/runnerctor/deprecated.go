@@ -6,20 +6,18 @@ import (
 	"compass/internal/machine"
 )
 
-func callsDeprecatedExhaustive(build func() check.Checked) *check.Report {
-	return check.Exhaustive("x", build, 100, 0) // want `call to deprecated check.Exhaustive`
+func callsDeprecatedExplain(build func() check.Checked) machine.Status {
+	st, _, _ := check.Explain(build, 1, 0.5, 100) // want `call to deprecated check.Explain`
+	return st
 }
 
-func callsDeprecatedExhaustiveOpt(build func() check.Checked) *check.Report {
-	return check.ExhaustiveOpt("x", build, check.Options{}) // want `call to deprecated check.ExhaustiveOpt`
+func callsConsolidatedExplain(build func() check.Checked) machine.Status {
+	st, _, _ := check.ExplainOpt(build, 1, check.Options{}) // ok: consolidated entry point
+	return st
 }
 
 func callsConsolidatedRun(build func() check.Checked) *check.Report {
 	return check.Run("x", build, check.Options{Mode: check.ModeExhaustive}) // ok: consolidated entry point
-}
-
-func callsDeprecatedRunWorkers(t litmus.Test) *litmus.Result {
-	return litmus.RunWorkers(t, 100, 2) // want `call to deprecated litmus.RunWorkers`
 }
 
 func callsConsolidatedLitmusRun(t litmus.Test) *litmus.Result {

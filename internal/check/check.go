@@ -143,11 +143,6 @@ type Options struct {
 	// overshoot an early stop) plus step-level machine counters. The
 	// final Report carries a Snapshot of it.
 	Stats *telemetry.Stats
-	// Footprint, when non-nil, is a location-footprint certificate
-	// (extracted by internal/analysis/footprint) installed into every
-	// execution: certified locations skip race instrumentation and
-	// read-window computation, without changing any outcome.
-	Footprint *memory.Footprint
 	// Refine enables the refinement oracle: each OK execution with a
 	// Checked.Refine checker is additionally judged by forward
 	// simulation against the library's abstract transition system, in
@@ -267,13 +262,13 @@ func (o Options) withDefaults() Options {
 //
 //compass:runner-ctor
 func (o Options) Runner(trace bool) *machine.Runner {
-	return &machine.Runner{Budget: o.Budget, Trace: trace, Stats: o.Stats, Footprint: o.Footprint, Plan: o.Plan}
+	return &machine.Runner{Budget: o.Budget, Trace: trace, Stats: o.Stats, Plan: o.Plan}
 }
 
 // ExploreOpts builds the machine exploration options for a harness-level
 // Options. All machine.ExploreOpts construction outside the machine
 // package goes through here (enforced by the runnerctor analyzer) so
-// MaxRuns/Budget/Workers/Stats/Footprint/POR plumbing cannot drift
+// MaxRuns/Budget/Workers/Stats/POR plumbing cannot drift
 // between the check and litmus exhaustive paths. It maps fields verbatim
 // — zero values defer to the machine defaults — so callers that want the
 // check defaults normalize with withDefaults first.
@@ -281,15 +276,14 @@ func (o Options) Runner(trace bool) *machine.Runner {
 //compass:explore-ctor
 func (o Options) ExploreOpts() machine.ExploreOpts {
 	return machine.ExploreOpts{
-		MaxRuns:   o.MaxRuns,
-		Budget:    o.Budget,
-		Workers:   o.Workers,
-		Stats:     o.Stats,
-		Footprint: o.Footprint,
-		Trace:     o.Refine,
-		POR:       o.POR,
-		Plan:      o.Plan,
-		Dedup:     o.Dedup,
+		MaxRuns: o.MaxRuns,
+		Budget:  o.Budget,
+		Workers: o.Workers,
+		Stats:   o.Stats,
+		Trace:   o.Refine,
+		POR:     o.POR,
+		Plan:    o.Plan,
+		Dedup:   o.Dedup,
 	}
 }
 
@@ -517,25 +511,6 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 		}
 	}
 	return rep.attachStats(opt)
-}
-
-// Exhaustive explores every execution of the workload up to maxRuns.
-//
-// Deprecated: use Run with Options{Mode: ModeExhaustive, MaxRuns: maxRuns,
-// Budget: budget}. Kept as a thin delegating wrapper for source
-// compatibility with the positional API.
-func Exhaustive(name string, build func() Checked, maxRuns, budget int) *Report {
-	return Run(name, build, Options{Mode: ModeExhaustive, MaxRuns: maxRuns, Budget: budget})
-}
-
-// ExhaustiveOpt explores every execution of the workload driven by
-// Options.
-//
-// Deprecated: use Run with Options{Mode: ModeExhaustive, ...}; this
-// wrapper only forces the mode and delegates.
-func ExhaustiveOpt(name string, build func() Checked, opt Options) *Report {
-	opt.Mode = ModeExhaustive
-	return Run(name, build, opt)
 }
 
 // runExhaustive explores every execution of the workload (all

@@ -16,7 +16,7 @@ import (
 // actually emits (with real locations, modes, and report names) satisfy
 // the implication, not just hand-built ones.
 func TestTraceConflictsImplyDependence(t *testing.T) {
-	tests := append(Suite(), FootprintSuite()...)
+	tests := append(Suite(), LocalitySuite()...)
 	for _, tc := range tests {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {

@@ -12,14 +12,14 @@ import (
 
 // TestDedupEquivalence is the golden soundness gate for state-space
 // deduplication, modeled on TestPOREquivalence: for every litmus test in
-// the suite plus the footprint-rich workloads, in every POR mode,
+// the suite plus the locality workloads, in every POR mode,
 // exhaustive exploration with a dedup visited set must produce the
 // identical outcome set — and therefore the identical verdict — as
 // exploration without one, while never exploring more runs. Evictions
 // must not fire at these sizes (they would make run counts
 // order-dependent).
 func TestDedupEquivalence(t *testing.T) {
-	tests := append(Suite(), FootprintSuite()...)
+	tests := append(Suite(), LocalitySuite()...)
 	for _, tc := range tests {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {

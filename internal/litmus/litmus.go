@@ -100,14 +100,13 @@ func outcomeKey(o map[string]int64) string {
 
 // Option configures one exhaustive litmus exploration. The zero
 // configuration (no options) explores across GOMAXPROCS workers with no
-// telemetry, no footprint certificate, and no partial-order reduction.
+// telemetry and no partial-order reduction.
 type Option func(*config)
 
 // config is the resolved option set of one Run call.
 type config struct {
 	workers int
 	stats   *telemetry.Stats
-	fp      *memory.Footprint
 	por     check.PORMode
 	plan    *memory.Plan
 	dedup   *machine.Dedup
@@ -125,14 +124,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // Discarded — litmus accounts budget-exhausted executions the same way
 // the check harness does.
 func WithStats(stats *telemetry.Stats) Option { return func(c *config) { c.stats = stats } }
-
-// WithFootprint installs a footprint certificate (see
-// internal/analysis/footprint): certified locations skip race
-// instrumentation and read-window computation. The outcome histogram is
-// identical with or without a valid certificate — pruning removes
-// per-access work, never decision-tree branches — which the equivalence
-// test in this package asserts bit-for-bit over the whole suite.
-func WithFootprint(fp *memory.Footprint) Option { return func(c *config) { c.fp = fp } }
 
 // WithPOR toggles sleep-set partial-order reduction (see
 // machine.ExploreOpts.POR): scheduling branches that can only replay an
@@ -245,7 +236,7 @@ func (s *JobState) RunSegment(t Test, maxRuns, pauseRuns int, opts ...Option) bo
 	if s.Dedup == nil {
 		s.Dedup = cfg.dedup
 	}
-	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, Footprint: cfg.fp, POR: cfg.por, Plan: cfg.plan, Dedup: s.Dedup}.ExploreOpts()
+	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, POR: cfg.por, Plan: cfg.plan, Dedup: s.Dedup}.ExploreOpts()
 	eo.Resume = s.Frontier
 	eo.PauseRuns = pauseRuns
 	// The explorer bounds one call; the job bound spans segments.
@@ -306,29 +297,6 @@ func (s *JobState) Finish(t Test) *Result {
 		}
 	}
 	return res
-}
-
-// RunWorkers is Run with an explicit worker count.
-//
-// Deprecated: use Run(t, maxRuns, WithWorkers(workers)).
-func RunWorkers(t Test, maxRuns, workers int) *Result {
-	return Run(t, maxRuns, WithWorkers(workers))
-}
-
-// RunWorkersStats is RunWorkers with a telemetry sink.
-//
-// Deprecated: use Run(t, maxRuns, WithWorkers(workers), WithStats(stats)).
-func RunWorkersStats(t Test, maxRuns, workers int, stats *telemetry.Stats) *Result {
-	return Run(t, maxRuns, WithWorkers(workers), WithStats(stats))
-}
-
-// RunWorkersFootprint is RunWorkersStats with an optional footprint
-// certificate.
-//
-// Deprecated: use Run(t, maxRuns, WithWorkers(workers), WithStats(stats),
-// WithFootprint(fp)).
-func RunWorkersFootprint(t Test, maxRuns, workers int, stats *telemetry.Stats, fp *memory.Footprint) *Result {
-	return Run(t, maxRuns, WithWorkers(workers), WithStats(stats), WithFootprint(fp))
 }
 
 // TraceTest replays the test's default schedule (every decision takes

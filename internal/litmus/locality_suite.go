@@ -6,15 +6,15 @@ import (
 	"compass/internal/view"
 )
 
-// FootprintSuite returns exploration workloads (NOT part of Suite — the
-// golden corpus pins that) whose locations actually earn footprint
-// certificates: read-only configuration, thread-exclusive scratch state,
-// and a shared flag that keeps the exploration branching. The equivalence
-// test runs them alongside the suite, and cmd/benchreport sweeps them to
-// measure how much per-access work pruning removes.
+// LocalitySuite returns exploration workloads (NOT part of Suite — the
+// golden corpus pins that) that mix thread-local and shared locations:
+// read-only configuration, thread-exclusive scratch state, and a shared
+// flag that keeps the exploration branching. The reduction-equivalence
+// tests run them alongside the suite, and cmd/benchreport sweeps them,
+// because locality is where POR, the static plan and dedup cut the most.
 //
 //compass:plan-suite
-func FootprintSuite() []Test {
+func LocalitySuite() []Test {
 	return []Test{
 		{
 			Name: "FP-counters",

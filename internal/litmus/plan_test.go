@@ -18,7 +18,7 @@ import (
 // conflict verdicts and to *force* provably invisible steps, so any
 // divergence here is a soundness bug, not a tuning regression.
 func TestPlanEquivalence(t *testing.T) {
-	tests := append(Suite(), FootprintSuite()...)
+	tests := append(Suite(), LocalitySuite()...)
 	for _, tc := range tests {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
@@ -55,7 +55,7 @@ func TestPlanEquivalence(t *testing.T) {
 // multi-location tests, at identical outcome sets (checked exhaustively
 // by TestPlanEquivalence above).
 func TestPlanReductionBites(t *testing.T) {
-	tests := append(Suite(), FootprintSuite()...)
+	tests := append(Suite(), LocalitySuite()...)
 	hits := 0
 	for _, tc := range tests {
 		plan := staticplan.PlanFor(tc.Name)
@@ -77,14 +77,14 @@ func TestPlanReductionBites(t *testing.T) {
 // invariant refuted <= checks.
 func TestPlanTelemetry(t *testing.T) {
 	var fpc Test
-	for _, tc := range FootprintSuite() {
+	for _, tc := range LocalitySuite() {
 		if tc.Name == "FP-counters" {
 			fpc = tc
 			break
 		}
 	}
 	if fpc.Name == "" {
-		t.Fatal("FP-counters not in footprint suite")
+		t.Fatal("FP-counters not in locality suite")
 	}
 	plan := staticplan.PlanFor(fpc.Name)
 	stats := telemetry.New()

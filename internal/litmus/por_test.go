@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"compass/internal/analysis/footprint"
 	"compass/internal/check"
 )
 
@@ -22,16 +21,14 @@ func outcomeKeySet(r *Result) []string {
 	return keys
 }
 
-// TestPOREquivalence is the soundness gate for partial-order reduction,
-// modeled on TestFootprintEquivalence but asserting the weaker (and
-// correct) invariant: for every litmus test in the suite plus the
-// footprint-rich workloads, exhaustive exploration under sleep sets and
-// under source-DPOR must each produce the identical outcome *set* — and
-// therefore the identical verdict — as exploration without reduction,
-// with no more runs; and source-DPOR must explore no more runs than
-// sleep sets.
+// TestPOREquivalence is the soundness gate for partial-order reduction:
+// for every litmus test in the suite plus the locality workloads,
+// exhaustive exploration under sleep sets and under source-DPOR must each
+// produce the identical outcome *set* — and therefore the identical
+// verdict — as exploration without reduction, with no more runs; and
+// source-DPOR must explore no more runs than sleep sets.
 func TestPOREquivalence(t *testing.T) {
-	tests := append(Suite(), FootprintSuite()...)
+	tests := append(Suite(), LocalitySuite()...)
 	for _, tc := range tests {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
@@ -147,28 +144,25 @@ func TestSTAR5ExhaustiveUnderSource(t *testing.T) {
 	t.Logf("STAR5: plain=%d source=%d", plain.Runs, source.Runs)
 }
 
-// TestPORComposesWithFootprintAndWorkers exercises the full stack at
-// once, in both reduction modes: POR plus a footprint certificate plus
-// parallel subtree exploration must visit exactly the runs the serial
-// POR exploration does and observe the same outcome set. For source-DPOR
-// this doubles as the purity gate — wakes and read floors must be a
-// function of the decision prefix alone, or the pinned-prefix parallel
-// explorer would produce a different tree.
+// TestPORComposesWithFootprintAndWorkers checks POR against parallel
+// subtree exploration, in both reduction modes: the parallel explorer
+// must visit exactly the runs the serial POR exploration does and observe
+// the same outcome set. The name predates the removal of footprint
+// pruning and is kept so the test's history stays comparable. For
+// source-DPOR this doubles as the purity gate — wakes and read floors
+// must be a function of the decision prefix alone, or the pinned-prefix
+// parallel explorer would produce a different tree.
 func TestPORComposesWithFootprintAndWorkers(t *testing.T) {
-	tests := append(Suite(), FootprintSuite()...)
+	tests := append(Suite(), LocalitySuite()...)
 	for _, tc := range tests {
 		for _, mode := range []check.PORMode{check.PORSleep, check.PORSource} {
 			tc, mode := tc, mode
 			t.Run(tc.Name+"/"+mode.String(), func(t *testing.T) {
 				t.Parallel()
-				fp, err := footprint.Extract(tc.Build)
-				if err != nil {
-					t.Fatalf("extracting footprint: %v", err)
-				}
 				serial := Run(tc, 0, WithWorkers(1), WithPORMode(mode))
-				stacked := Run(tc, 0, WithWorkers(4), WithPORMode(mode), WithFootprint(fp))
+				stacked := Run(tc, 0, WithWorkers(4), WithPORMode(mode))
 				if stacked.Runs != serial.Runs {
-					t.Errorf("runs diverged: serial POR %d, POR+footprint+workers %d", serial.Runs, stacked.Runs)
+					t.Errorf("runs diverged: serial POR %d, POR+workers %d", serial.Runs, stacked.Runs)
 				}
 				if !reflect.DeepEqual(outcomeKeySet(serial), outcomeKeySet(stacked)) {
 					t.Errorf("outcome sets diverged:\nserial:  %v\nstacked: %v",

@@ -128,17 +128,6 @@ type abort struct {
 // is torn down (its yield returned false).
 type killed struct{}
 
-// accessAbort classifies a memory-access error: footprint-certificate
-// violations are harness failures (the recording pre-pass under-covered
-// the program — Failed), everything else is undefined behaviour (Racy).
-func accessAbort(err error) abort {
-	var ce *memory.CertError
-	if errors.As(err, &ce) {
-		return abort{status: Failed, err: err}
-	}
-	return abort{status: Racy, err: err}
-}
-
 // Thread is the handle through which program code accesses the simulated
 // memory. All methods are scheduling points.
 type Thread struct {
@@ -202,7 +191,7 @@ func (t *Thread) Read(l view.Loc, mode memory.Mode) int64 {
 		if t.mc.tracing {
 			t.mc.record(StepEvent{Thread: t.id, Kind: StepRead, Loc: l, LocName: t.mc.mem.Name(l), RMode: mode, Race: true})
 		}
-		panic(accessAbort(err))
+		panic(abort{status: Racy, err: err})
 	}
 	t.mc.foldOp(t.id, opRead, t.mc.canonLoc(l), uint64(mode), uint64(v))
 	if t.mc.tracing {
@@ -251,7 +240,7 @@ func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 		if t.mc.tracing {
 			t.mc.record(StepEvent{Thread: t.id, Kind: StepWrite, Loc: l, LocName: t.mc.mem.Name(l), WMode: mode, Race: true})
 		}
-		panic(accessAbort(err))
+		panic(abort{status: Racy, err: err})
 	}
 	t.mc.foldOp(t.id, opWrite, t.mc.canonLoc(l), uint64(mode), uint64(v))
 	if t.mc.tracing {
@@ -264,7 +253,7 @@ func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 func (t *Thread) Free(l view.Loc) {
 	t.step(memory.Access{Kind: memory.AccFree, Loc: l})
 	if err := t.mc.mem.Free(t.tv, l); err != nil {
-		panic(accessAbort(err))
+		panic(abort{status: Racy, err: err})
 	}
 	t.mc.foldOp(t.id, opFree, t.mc.canonLoc(l))
 	if t.mc.tracing {
@@ -343,16 +332,13 @@ func (t *Thread) Update(l view.Loc, f memory.UpdateFunc, readMode, writeMode mem
 	return old, wrote
 }
 
-// updateChecked converts a UAFError or CertError panic from the memory's
-// RMW path into an execution abort.
+// updateChecked converts a UAFError panic from the memory's RMW path into
+// an execution abort.
 func (t *Thread) updateChecked(l view.Loc, f memory.UpdateFunc, readMode, writeMode memory.Mode) (int64, bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			switch e := p.(type) {
-			case *memory.UAFError:
+			if e, ok := p.(*memory.UAFError); ok {
 				panic(abort{status: Racy, err: e})
-			case *memory.CertError:
-				panic(abort{status: Failed, err: e})
 			}
 			panic(p)
 		}
@@ -544,13 +530,6 @@ type Runner struct {
 	// agree with reported totals even when parallel workers overshoot an
 	// early stop. Safe to share one Stats across concurrent Runners.
 	Stats *telemetry.Stats
-	// Footprint, when non-nil, is a location-footprint certificate
-	// (extracted by internal/analysis/footprint) installed into each
-	// execution's memory: certified locations take validated fast paths
-	// that skip race instrumentation and read-window computation, and any
-	// access pattern the certificate does not cover aborts the execution
-	// as Failed. Pruning never changes outcomes — see memory/footprint.go.
-	Footprint *memory.Footprint
 	// POR selects the partial-order reduction mode. PORSleep excludes
 	// from scheduling any thread whose pending operation commutes with
 	// everything executed since it was last a candidate (see
@@ -595,9 +574,6 @@ type Runner struct {
 // outlives the execution. A panic in Setup, a worker or Final other than
 // the machine's own aborts (Failf, races, budget) is re-raised in Run's
 // caller with the original value, after the other threads are unwound.
-// Run also records the per-execution footprint-pruning totals, which are
-// facts about the finished execution's memory rather than result
-// accounting (they cannot overshoot an early stop).
 //
 //compass:scheduler
 //compass:accounting
@@ -643,9 +619,6 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 			c.opHist = make([][2]uint64, nw+1)
 		}
 	}
-	if r.Footprint != nil {
-		c.mem.Certify(r.Footprint)
-	}
 
 	mainTV := memory.NewThreadView(0)
 	threads := make([]*Thread, nw+1)
@@ -689,14 +662,8 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		if prog.Setup != nil {
 			prog.Setup(t)
 		}
-		// Setup is over: validate and seal the footprint certificate (if
-		// any) so certified fast paths activate exactly when concurrency
-		// begins. A seal failure means the certificate is stale.
-		if err := t.mc.mem.SealSetup(); err != nil {
-			panic(abort{status: Failed, err: err})
-		}
-		// Signal the controller to start the workers; park until they all
-		// finish (the controller re-grants main afterwards).
+		// Setup is over. Signal the controller to start the workers; park
+		// until they all finish (the controller re-grants main afterwards).
 		if !t.yield(evSpawn) {
 			panic(killed{})
 		}
@@ -726,7 +693,6 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 	var final *Result
 	finish := func(st Status, err error) {
 		final = &Result{Status: st, Err: err, Mem: c.mem, Steps: c.steps, Outcome: c.outcome, Events: c.trace}
-		c.stats.FootprintPruned(c.mem.PrunedReads(), c.mem.RaceChecksSkipped())
 		if c.por == PORSource {
 			// One histogram sample per execution: how many race reversals
 			// (wakes) this run's wakeup bookkeeping carried.

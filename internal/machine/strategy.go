@@ -140,12 +140,6 @@ type ExploreOpts struct {
 	// step-level counters; it must therefore be safe for concurrent use,
 	// which telemetry.Stats is.
 	Stats *telemetry.Stats
-	// Footprint, when non-nil, is installed into every execution's Runner
-	// (see Runner.Footprint): certified locations skip race
-	// instrumentation and read-window computation without changing any
-	// outcome, so an exploration with a valid footprint visits the same
-	// executions as one without.
-	Footprint *memory.Footprint
 	// Trace enables step-event recording in every execution's Runner (see
 	// Runner.Trace): each visited Result carries its typed StepEvent
 	// stream. Recording never changes decisions or outcomes; it exists for
@@ -177,8 +171,7 @@ type ExploreOpts struct {
 	// subtrees that replay explored equivalence classes are never
 	// branched on. The set of reachable outcomes — and the meaning of
 	// Complete as a bounded proof over them — is preserved; only Runs
-	// shrinks. Composes with Footprint (which prunes per-access work, not
-	// branches) and with ExploreParallel's subtree partitioning (the
+	// shrinks. Composes with ExploreParallel's subtree partitioning (the
 	// reduced tree is still a deterministic function of the decision
 	// prefix, so pinned prefixes replay it exactly).
 	POR PORMode
@@ -226,7 +219,7 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if maxRuns <= 0 {
 		maxRuns = 200000
 	}
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
@@ -395,7 +388,7 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
-	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
+	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
 	for {
 		prefix, ok := e.next()
 		if !ok {
@@ -463,7 +456,7 @@ func (s *Recorded) Choose(n int) int {
 // RunRandomOpt executes the program n times with seeds seed, seed+1, ...,
 // invoking visit for each result, and returns the number of executions
 // that completed with status OK. The runner is built exactly as the
-// explorers build theirs — Budget, Trace, Stats, Footprint, and POR all
+// explorers build theirs — Budget, Trace, Stats, POR, Plan and Dedup all
 // taken from opts — and every execution is accounted with one ExecDone,
 // so telemetry totals equal what visit observed. MaxRuns, MaxDepth,
 // Workers, Resume, and PauseRuns are exploration-tree concepts and are
@@ -471,7 +464,7 @@ func (s *Recorded) Choose(n int) int {
 //
 //compass:accounting
 func RunRandomOpt(build func() Program, n int, seed int64, opts ExploreOpts, visit func(*Result) bool) int {
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
 	ok := 0
 	for i := 0; i < n; i++ {
 		r := runner.Run(build(), NewRandom(seed+int64(i)))
@@ -490,7 +483,7 @@ func RunRandomOpt(build func() Program, n int, seed int64, opts ExploreOpts, vis
 // invoking visit for each result.
 //
 // Deprecated: use RunRandomOpt. This wrapper used to construct a bare
-// Runner with no Stats/Footprint/POR plumbing and recorded no ExecDone,
+// Runner with no Stats/POR plumbing and recorded no ExecDone,
 // silently diverging from the accounted paths; it now delegates to
 // RunRandomOpt with only the budget set, preserving its historical
 // behaviour (no telemetry) without a second runner-construction site.

@@ -14,13 +14,13 @@ import (
 // CheckpointVersion identifies the checkpoint file layout; bump on
 // breaking changes so a daemon never misreads state written by an
 // incompatible build.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // Checkpoint is the durable state of one job at a quiescent pause point:
 // everything a restarted compassd needs to continue the job — or to
 // refuse it as stale. Engine holds the kind-specific resumable state
 // (the frontier of pinned decision prefixes plus the partial
-// report/histogram); Telemetry is the cumulative compass/telemetry/v1
+// report/histogram); Telemetry is the cumulative compass/telemetry/v2
 // snapshot, restored via telemetry.Restore so the resumed job continues
 // the same monotone stream.
 type Checkpoint struct {

@@ -25,7 +25,7 @@ const (
 //	POST /v1/jobs                submit a JobSpec, returns the JobView (202)
 //	GET  /v1/jobs                list all jobs
 //	GET  /v1/jobs/{id}           one job's status/result
-//	GET  /v1/jobs/{id}/events    NDJSON stream: one compass/telemetry/v1
+//	GET  /v1/jobs/{id}/events    NDJSON stream: one compass/telemetry/v2
 //	                             snapshot per completed segment, closing
 //	                             with the final totals when the job ends
 //	GET  /v1/workloads           registry names
@@ -163,7 +163,7 @@ func Handler(m *Manager) http.Handler {
 }
 
 // streamEvents writes the job's telemetry stream as NDJSON: each line is
-// one complete compass/telemetry/v1 snapshot (the same schema statcheck
+// one complete compass/telemetry/v2 snapshot (the same schema statcheck
 // validates), flushed per event. The stream ends when the job reaches a
 // terminal state or the client disconnects.
 func streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {

@@ -20,7 +20,7 @@
 // i-th execution uses Seed+i regardless of segmentation — with the same
 // identity.
 //
-// Telemetry streams in the unchanged compass/telemetry/v1 snapshot
+// Telemetry streams in the compass/telemetry/v2 snapshot
 // schema: one snapshot per completed segment on /jobs/{id}/events, each
 // line independently valid against telemetry.ValidateSnapshotJSON.
 package serve

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -332,6 +333,46 @@ func TestStoreRefusesStaleAndTorn(t *testing.T) {
 	}
 	if v := j.View(); v.Status != StatusDone {
 		t.Errorf("resumed job status %s (err %q), want done", v.Status, v.Error)
+	}
+}
+
+// TestResumeRefusesPreviousGeneration pins the one-diagnostic policy for
+// checkpoints of the previous format generation. testdata/v1_checkpoint.json
+// is a paused litmus/IRIW job written by a version-1 compassd; its embedded
+// compass/telemetry/v1 snapshot carries machine counters the current
+// snapshot type no longer has. Resume must refuse it through the version
+// check alone: one stale-version error, nothing resumed or finished.
+func TestResumeRefusesPreviousGeneration(t *testing.T) {
+	t.Parallel()
+	data, err := os.ReadFile(filepath.Join("testdata", "v1_checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, head.JobID+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Config{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, finished, errs := m.Resume()
+	m.Wait()
+	if resumed != 0 || finished != 0 {
+		t.Errorf("resumed %d finished %d, want 0/0", resumed, finished)
+	}
+	if len(errs) != 1 {
+		t.Fatalf("resume reported %d errors, want exactly 1: %v", len(errs), errs)
+	}
+	want := fmt.Sprintf("stale format version 1 (want %d)", CheckpointVersion)
+	if !strings.Contains(errs[0].Error(), want) {
+		t.Errorf("err = %v, want %q", errs[0], want)
 	}
 }
 
