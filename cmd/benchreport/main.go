@@ -58,17 +58,16 @@ type Result struct {
 
 // Report is the file format of BENCH_<date>.json.
 type Report struct {
-	Date       string       `json:"date"`
-	GoVersion  string       `json:"go_version"`
-	GOARCH     string       `json:"goarch"`
-	GOOS       string       `json:"goos"`
-	NumCPU     int          `json:"num_cpu"`
-	BenchTime  string       `json:"benchtime"`
-	BenchRegex string       `json:"bench_regex"`
-	Results    []Result     `json:"results"`
-	POR        *PORReport   `json:"por,omitempty"`
-	Plan       *PlanReport  `json:"plan,omitempty"`
-	Dedup      *DedupReport `json:"dedup,omitempty"`
+	Date       string      `json:"date"`
+	GoVersion  string      `json:"go_version"`
+	GOARCH     string      `json:"goarch"`
+	GOOS       string      `json:"goos"`
+	NumCPU     int         `json:"num_cpu"`
+	BenchTime  string      `json:"benchtime"`
+	BenchRegex string      `json:"bench_regex"`
+	Results    []Result    `json:"results"`
+	POR        *PORReport  `json:"por,omitempty"`
+	Plan       *PlanReport `json:"plan,omitempty"`
 }
 
 // PORReport records partial-order reduction effectiveness: the litmus
@@ -272,82 +271,6 @@ func measurePlan(maxRuns int) (*PlanReport, error) {
 	return rep, nil
 }
 
-// DedupReport records state-space deduplication effectiveness: the
-// litmus suite plus the locality workloads, each explored
-// exhaustively in every POR mode — off, sleep sets, source-DPOR — twice:
-// without and with a fresh unbounded dedup visited set. Dedup composes
-// with POR (it cuts runs that re-enter an already-claimed canonical
-// state at a free decision), so the headline numbers are per-test,
-// per-mode execution counts plus the two sweeps' wall clocks. Outcome
-// sets are identical by construction (TestDedupEquivalence in
-// internal/litmus asserts it, and measureDedup re-checks per test and
-// mode before recording). Single-worker on both sides: with parallel
-// workers the fingerprint claim order is racy and the dedup-side counts
-// would not be comparable across snapshots.
-type DedupReport struct {
-	Tests        []DedupTest `json:"tests"`
-	SecondsPlain float64     `json:"seconds_plain"`
-	SecondsDedup float64     `json:"seconds_dedup"`
-	// DedupStates is the dedup sweep's dedup_states telemetry total:
-	// distinct canonical fingerprints entered into the visited sets.
-	DedupStates int64 `json:"dedup_states"`
-	// DedupHits is the dedup sweep's dedup_hits total: arrivals at an
-	// already-claimed fingerprint, each cutting one run short.
-	DedupHits int64 `json:"dedup_hits"`
-}
-
-// DedupTest is one test's execution counts in one POR mode, dedup
-// off/on.
-type DedupTest struct {
-	Name       string `json:"name"`
-	Mode       string `json:"mode"`
-	ExecsPlain int    `json:"execs_plain"`
-	ExecsDedup int    `json:"execs_dedup"`
-}
-
-// measureDedup runs the exhaustive litmus suite in each POR mode twice —
-// dedup off, then dedup on with a fresh unbounded visited set per test —
-// re-checking outcome-set equality per test and mode. Any test failure
-// or divergence aborts: a BENCH file must never record reduction numbers
-// from an unsound sweep.
-func measureDedup(maxRuns int) (*DedupReport, error) {
-	rep := &DedupReport{}
-	stats := compass.NewTelemetry()
-	tests := append(compass.LitmusSuite(), compass.LitmusLocalitySuite()...)
-	modes := []struct {
-		name string
-		mode compass.PORMode
-	}{{"off", compass.POROff}, {"sleep", compass.PORSleep}, {"source", compass.PORSource}}
-	for _, m := range modes {
-		for _, t := range tests {
-			start := time.Now()
-			plain := compass.RunLitmus(t, maxRuns, compass.WithWorkers(1), compass.WithPORMode(m.mode))
-			rep.SecondsPlain += time.Since(start).Seconds()
-			if !plain.OK() {
-				return nil, fmt.Errorf("%s: exploration failed (por=%s, dedup=off):\n%s", t.Name, m.name, plain)
-			}
-			start = time.Now()
-			ded := compass.RunLitmus(t, maxRuns, compass.WithWorkers(1), compass.WithPORMode(m.mode),
-				compass.WithDedup(compass.NewDedup(0)), compass.WithStats(stats))
-			rep.SecondsDedup += time.Since(start).Seconds()
-			if !ded.OK() {
-				return nil, fmt.Errorf("%s: exploration failed (por=%s, dedup=on):\n%s", t.Name, m.name, ded)
-			}
-			if !outcomeSetsEqual(plain.Outcomes, ded.Outcomes) {
-				return nil, fmt.Errorf("%s: outcome sets diverged under dedup (por=%s):\nplain: %v\ndedup: %v",
-					t.Name, m.name, plain.Outcomes, ded.Outcomes)
-			}
-			rep.Tests = append(rep.Tests, DedupTest{
-				Name: t.Name, Mode: m.name, ExecsPlain: plain.Runs, ExecsDedup: ded.Runs,
-			})
-		}
-	}
-	snap := stats.Snapshot()
-	rep.DedupStates = snap.Explore.DedupStates
-	rep.DedupHits = snap.Explore.DedupHits
-	return rep, nil
-}
-
 func main() {
 	bench := flag.String("bench", tierOneBenchmarks, "benchmark name regex passed to -bench")
 	benchtime := flag.String("benchtime", "", "passed to -benchtime (e.g. 100x, 0.5s); empty = go default")
@@ -355,7 +278,6 @@ func main() {
 	maxRuns := flag.Int("max-runs", 400000, "exploration bound per litmus test for the reduction measurements")
 	por := flag.Bool("por", true, "measure partial-order reduction effectiveness (off vs sleep vs source) over the litmus suite")
 	planOn := flag.Bool("plan", true, "measure static access-plan effectiveness (plan off vs on at -por=source) over the litmus and library suites")
-	dedup := flag.Bool("dedup", true, "measure state-space dedup effectiveness (dedup off vs on in every POR mode) over the litmus suite")
 	flag.Parse()
 
 	rep := &Report{
@@ -410,20 +332,6 @@ func main() {
 		for _, t := range pr.Tests {
 			fmt.Fprintf(os.Stderr, "benchreport: plan: %-16s bare %6d | planned %6d executions\n",
 				t.Name, t.ExecsBare, t.ExecsPlanned)
-		}
-	}
-
-	if *dedup {
-		fmt.Fprintln(os.Stderr, "benchreport: measuring state-space dedup in every POR mode over the litmus suite")
-		dr, err := measureDedup(*maxRuns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: dedup: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Dedup = dr
-		for _, t := range dr.Tests {
-			fmt.Fprintf(os.Stderr, "benchreport: dedup: %-16s por=%-6s plain %6d | dedup %6d executions\n",
-				t.Name, t.Mode, t.ExecsPlain, t.ExecsDedup)
 		}
 	}
 

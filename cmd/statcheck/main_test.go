@@ -11,14 +11,15 @@ import (
 )
 
 // TestSchemaMismatchIsOneLineDiagnostic pins the contract for snapshots
-// from another schema generation: a compass/telemetry/v0 or v1 file must
-// fail with exit code 1 and a single diagnostic line naming both the found
-// and the wanted schema version — not a cascade of unknown-field errors
-// from the strict decoder. Both fixtures carry fields the current schema
-// does not know: v0 a different layout, v1 three machine-section counters
-// that v2 dropped.
+// from another schema generation: a compass/telemetry/v0, v1 or v2 file
+// must fail with exit code 1 and a single diagnostic line naming both the
+// found and the wanted schema version — not a cascade of unknown-field
+// errors from the strict decoder. Every fixture carries fields the current
+// schema does not know: v0 a different layout, v1 three machine-section
+// counters that v2 dropped, v2 the three explore-section dedup counters
+// that v3 dropped.
 func TestSchemaMismatchIsOneLineDiagnostic(t *testing.T) {
-	for _, gen := range []string{"v0", "v1"} {
+	for _, gen := range []string{"v0", "v1", "v2"} {
 		var out, errw strings.Builder
 		code := run(filepath.Join("testdata", gen+"_snapshot.json"), "", &out, &errw)
 		if code != 1 {
@@ -28,7 +29,7 @@ func TestSchemaMismatchIsOneLineDiagnostic(t *testing.T) {
 		if n := strings.Count(diag, "\n"); n != 1 {
 			t.Fatalf("%s: want exactly one diagnostic line, got %d:\n%s", gen, n, diag)
 		}
-		for _, want := range []string{"compass/telemetry/" + gen, "compass/telemetry/v2"} {
+		for _, want := range []string{"compass/telemetry/" + gen, "compass/telemetry/v3"} {
 			if !strings.Contains(diag, want) {
 				t.Errorf("%s: diagnostic %q does not name %q", gen, diag, want)
 			}
@@ -66,10 +67,10 @@ func TestValidSnapshotPasses(t *testing.T) {
 // telemetry as a fixture, not a round trip: the checked-in snapshot was
 // written by `litmus -test SB -por=sleep -stats` and carries nonzero
 // por_branches_skipped and sleep_set_size counters under the
-// compass/telemetry/v2 schema. If a future schema revision stops
+// compass/telemetry/v3 schema. If a future schema revision stops
 // accepting these fields, this catches it even after the writer moves on.
 func TestPORCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v2_por_snapshot.json")
+	path := filepath.Join("testdata", "v3_por_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -89,12 +90,12 @@ func TestPORCountersValidate(t *testing.T) {
 // source-DPOR telemetry additions as a fixture: the checked-in snapshot
 // was written by a `litmus -por=source -stats` run over the full suite
 // and carries nonzero por_races_reversed and wakeup_tree_size counters —
-// under the compass/telemetry/v2 schema, and satisfying
+// under the compass/telemetry/v3 schema, and satisfying
 // the validator's wakeup_tree_size.sum == por_races_reversed invariant.
 // If a future schema revision stops accepting or validating these
 // fields, this catches it even after the writer moves on.
 func TestSourceDPORCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v2_source_snapshot.json")
+	path := filepath.Join("testdata", "v3_source_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -119,11 +120,11 @@ func TestSourceDPORCountersValidate(t *testing.T) {
 // oracle's telemetry additions as a fixture: the checked-in snapshot was
 // written by `litmus -refine -por=source -test lib/msqueue -stats` and
 // carries nonzero refine_traces_checked plus the refine_state_fanout
-// histogram — under the compass/telemetry/v2 schema. If
+// histogram — under the compass/telemetry/v3 schema. If
 // a future schema revision stops accepting these fields, this catches it
 // even after the writer moves on.
 func TestRefineCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v2_refine_snapshot.json")
+	path := filepath.Join("testdata", "v3_refine_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -149,7 +150,7 @@ func TestRefineCountersValidate(t *testing.T) {
 // (a disagreement is recorded at most once per judged trace) must fail
 // validation with a diagnostic naming both counters.
 func TestRefineInvariantRejected(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v2_refine_snapshot.json"))
+	data, err := os.ReadFile(filepath.Join("testdata", "v3_refine_snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +196,11 @@ func TestMissingFileFails(t *testing.T) {
 // litmus/SB+scfence job at por=sleep on a compassd started with -state
 // and -checkpoint-every 40) and carries nonzero checkpoint counters and
 // the segment_runs histogram under the serve section — the
-// compass/telemetry/v2 schema. If a future schema revision
+// compass/telemetry/v3 schema. If a future schema revision
 // stops accepting these fields, this catches it even after the writer
 // moves on.
 func TestServeCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v2_serve_snapshot.json")
+	path := filepath.Join("testdata", "v3_serve_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -224,11 +225,11 @@ func TestServeCountersValidate(t *testing.T) {
 // access-plan telemetry as a fixture: the checked-in snapshot was
 // written by a `litmus -por=source -plan -refine -stats` run and carries
 // nonzero plan_sites, plan_checks and plan_conflicts_refuted (explore
-// section) under the compass/telemetry/v2 schema. If a future schema revision
+// section) under the compass/telemetry/v3 schema. If a future schema revision
 // stops accepting these fields, this catches it even after the writer
 // moves on.
 func TestPlanCountersValidate(t *testing.T) {
-	path := filepath.Join("testdata", "v2_plan_snapshot.json")
+	path := filepath.Join("testdata", "v3_plan_snapshot.json")
 	var out, errw strings.Builder
 	if code := run(path, "", &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
@@ -254,7 +255,7 @@ func TestPlanCountersValidate(t *testing.T) {
 // more refutations than oracle consultations must fail with exit code 1
 // and a diagnostic naming both counters.
 func TestCorruptPlanCountersRejected(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v2_plan_snapshot.json"))
+	data, err := os.ReadFile(filepath.Join("testdata", "v3_plan_snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -507,21 +507,6 @@ func WithPOR(on bool) LitmusOption { return litmus.WithPOR(on) }
 // read floors; outcome sets stay identical across all modes.
 func WithPORMode(m PORMode) LitmusOption { return litmus.WithPORMode(m) }
 
-// Dedup is a bounded visited set of canonical state fingerprints shared
-// by the runs of one exhaustive exploration (see NewDedup).
-type Dedup = machine.Dedup
-
-// NewDedup returns an empty visited set holding at most cap canonical
-// state fingerprints (a default near one million if cap <= 0).
-func NewDedup(cap int) *Dedup { return machine.NewDedup(cap) }
-
-// WithDedup installs a state-space dedup visited set: runs reaching a
-// canonical state an earlier run already claimed are cut short. The
-// outcome set and verdict are identical with and without dedup in every
-// POR mode; the number of explored executions shrinks. Reuse one Dedup
-// only across the segments of one logical exploration.
-func WithDedup(d *Dedup) LitmusOption { return litmus.WithDedup(d) }
-
 // PORMode selects the partial-order reduction applied by the exhaustive
 // explorers (see the machine package's PORMode).
 type PORMode = machine.PORMode

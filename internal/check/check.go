@@ -166,14 +166,6 @@ type Options struct {
 	// Plans are may-over-approximations, so outcome sets are identical
 	// with or without one; modes other than PORSource ignore it.
 	Plan *memory.Plan
-	// Dedup, when non-nil, is the shared visited set of canonical state
-	// fingerprints consulted by ModeExhaustive: runs reaching an
-	// already-claimed state are cut without changing the set of reachable
-	// outcomes (see machine.ExploreOpts.Dedup). The caller owns the
-	// handle so it can persist across the segments of a paused/resumed
-	// job — reuse one Dedup only within one logical exploration.
-	// ModeRandom ignores it.
-	Dedup *machine.Dedup
 }
 
 // PORMode is re-exported from machine so harness callers configure the
@@ -283,7 +275,6 @@ func (o Options) ExploreOpts() machine.ExploreOpts {
 		Trace:   o.Refine,
 		POR:     o.POR,
 		Plan:    o.Plan,
-		Dedup:   o.Dedup,
 	}
 }
 

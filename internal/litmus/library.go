@@ -112,7 +112,7 @@ func (r *LibResult) GoldenLine() string {
 
 // RunLib explores the workload exhaustively with the refinement oracle
 // enabled and evaluates the cross-oracle verdict. Options are the litmus
-// options: workers, telemetry, POR mode, plan, dedup.
+// options: workers, telemetry, POR mode, plan.
 func RunLib(t LibTest, maxRuns int, opts ...Option) *LibResult {
 	var cfg config
 	for _, o := range opts {
@@ -129,7 +129,7 @@ func RunLib(t LibTest, maxRuns int, opts ...Option) *LibResult {
 	rep := check.Run(t.Name, t.Build, check.Options{
 		Mode: check.ModeExhaustive, MaxRuns: maxRuns, Budget: 4000,
 		KeepGoing: true, Refine: true, Workers: cfg.workers, Stats: stats,
-		POR: cfg.por, Plan: cfg.plan, Dedup: cfg.dedup,
+		POR: cfg.por, Plan: cfg.plan,
 	})
 	after := stats.Snapshot().Refine
 	res := &LibResult{

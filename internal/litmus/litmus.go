@@ -109,7 +109,6 @@ type config struct {
 	stats   *telemetry.Stats
 	por     check.PORMode
 	plan    *memory.Plan
-	dedup   *machine.Dedup
 }
 
 // WithWorkers sets the parallel exploration worker count (0 = GOMAXPROCS,
@@ -154,17 +153,6 @@ func WithPOR(on bool) Option {
 // check.PORSource ignore the plan.
 func WithPlan(p *memory.Plan) Option { return func(c *config) { c.plan = p } }
 
-// WithDedup installs a state-space dedup visited set (see machine.Dedup):
-// runs reaching a canonical state an earlier run already claimed are cut
-// short. The outcome *set* — which distinct outcomes appear, and
-// therefore the verdict — is identical with and without dedup in every
-// POR mode (asserted over the whole suite by the dedup-equivalence test
-// in this package); the histogram counts and Runs shrink. Reuse one
-// Dedup only across the segments of one logical exploration: the handle
-// is retained in the JobState so paused/resumed jobs keep their claimed
-// states (and serialize them with the frontier).
-func WithDedup(d *machine.Dedup) Option { return func(c *config) { c.dedup = d } }
-
 // WithPORMode selects the partial-order reduction mode explicitly:
 // check.POROff, check.PORSleep, or check.PORSource. Source-DPOR reverses
 // only dynamically observed races and prunes stale read-value branches
@@ -197,12 +185,6 @@ type JobState struct {
 	Discarded int               `json:"discarded"`
 	Outcomes  map[string]int    `json:"outcomes"`
 	Frontier  *machine.Frontier `json:"frontier,omitempty"`
-	// Dedup is the visited set of canonical state fingerprints, retained
-	// (and serialized) across segments so a resumed job never re-claims —
-	// and re-explores — states a pre-pause segment already covered. Nil
-	// means dedup is off. Installed by WithDedup on the first segment or
-	// set directly before it.
-	Dedup *machine.Dedup `json:"dedup,omitempty"`
 	// Complete is set when the whole tree was explored; Done when no
 	// further segment will make progress (complete, maxRuns exhausted, or
 	// an early stop).
@@ -233,10 +215,7 @@ func (s *JobState) RunSegment(t Test, maxRuns, pauseRuns int, opts ...Option) bo
 	if maxRuns <= 0 {
 		maxRuns = check.DefaultMaxRuns
 	}
-	if s.Dedup == nil {
-		s.Dedup = cfg.dedup
-	}
-	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, POR: cfg.por, Plan: cfg.plan, Dedup: s.Dedup}.ExploreOpts()
+	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, POR: cfg.por, Plan: cfg.plan}.ExploreOpts()
 	eo.Resume = s.Frontier
 	eo.PauseRuns = pauseRuns
 	// The explorer bounds one call; the job bound spans segments.

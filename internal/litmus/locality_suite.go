@@ -11,7 +11,7 @@ import (
 // read-only configuration, thread-exclusive scratch state, and a shared
 // flag that keeps the exploration branching. The reduction-equivalence
 // tests run them alongside the suite, and cmd/benchreport sweeps them,
-// because locality is where POR, the static plan and dedup cut the most.
+// because locality is where POR and the static plan cut the most.
 //
 //compass:plan-suite
 func LocalitySuite() []Test {

@@ -54,12 +54,6 @@ const (
 	// sibling subtrees, which is what keeps exhaustive outcome sets
 	// identical with POR on and off.
 	Pruned
-	// Deduped: the run reached a state whose canonical fingerprint was
-	// already in the exhaustive explorer's visited set (only under
-	// Runner.Dedup). Like Pruned, neither a pass nor a violation: the
-	// first run to claim the fingerprint explores every continuation, so
-	// this run's continuations are all observed elsewhere.
-	Deduped
 )
 
 func (s Status) String() string {
@@ -74,8 +68,6 @@ func (s Status) String() string {
 		return "failed"
 	case Pruned:
 		return "pruned"
-	case Deduped:
-		return "deduped"
 	}
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
@@ -173,10 +165,6 @@ func (t *Thread) step(op memory.Access) {
 func (t *Thread) Alloc(name string, init int64) view.Loc {
 	t.step(memory.Access{Kind: memory.AccAlloc})
 	l := t.mc.mem.Alloc(t.tv, name, init)
-	if t.mc.opHist != nil {
-		t.mc.locCanon = append(t.mc.locCanon, t.mc.mem.CanonLocID(l))
-		t.mc.foldOp(t.id, opAlloc, t.mc.locCanon[l], uint64(init))
-	}
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepAlloc, Loc: l, LocName: name, Val: init})
 	}
@@ -193,7 +181,6 @@ func (t *Thread) Read(l view.Loc, mode memory.Mode) int64 {
 		}
 		panic(abort{status: Racy, err: err})
 	}
-	t.mc.foldOp(t.id, opRead, t.mc.canonLoc(l), uint64(mode), uint64(v))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepRead, Loc: l, LocName: t.mc.mem.Name(l), RMode: mode, Val: v})
 	}
@@ -242,7 +229,6 @@ func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 		}
 		panic(abort{status: Racy, err: err})
 	}
-	t.mc.foldOp(t.id, opWrite, t.mc.canonLoc(l), uint64(mode), uint64(v))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepWrite, Loc: l, LocName: t.mc.mem.Name(l), WMode: mode, Val: v})
 	}
@@ -255,7 +241,6 @@ func (t *Thread) Free(l view.Loc) {
 	if err := t.mc.mem.Free(t.tv, l); err != nil {
 		panic(abort{status: Racy, err: err})
 	}
-	t.mc.foldOp(t.id, opFree, t.mc.canonLoc(l))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFree, Loc: l, LocName: t.mc.mem.Name(l)})
 	}
@@ -265,7 +250,6 @@ func (t *Thread) Free(l view.Loc) {
 func (t *Thread) Fence(acquire, release bool) {
 	t.step(memory.Access{Kind: memory.AccFence})
 	t.mc.mem.Fence(t.tv, acquire, release)
-	t.mc.foldOp(t.id, opFence, b2u(acquire), b2u(release))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFence, Acquire: acquire, Release: release})
 	}
@@ -276,7 +260,6 @@ func (t *Thread) Fence(acquire, release bool) {
 func (t *Thread) FenceSC() {
 	t.step(memory.Access{Kind: memory.AccFence})
 	t.mc.mem.FenceSC(t.tv)
-	t.mc.foldOp(t.id, opFenceSC)
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFenceSC})
 	}
@@ -287,7 +270,6 @@ func (t *Thread) FenceSC() {
 func (t *Thread) CAS(l view.Loc, expected, newv int64, readMode, writeMode memory.Mode) (int64, bool) {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, ok := t.updateChecked(l, func(o int64) (int64, bool) { return newv, o == expected }, readMode, writeMode)
-	t.mc.foldOp(t.id, opCAS, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(expected), uint64(newv), uint64(old), b2u(ok))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepCAS, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Arg: expected, Val: newv, Old: old, OK: ok})
@@ -299,7 +281,6 @@ func (t *Thread) CAS(l view.Loc, expected, newv int64, readMode, writeMode memor
 func (t *Thread) FetchAdd(l view.Loc, d int64, readMode, writeMode memory.Mode) int64 {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, _ := t.updateChecked(l, func(o int64) (int64, bool) { return o + d, true }, readMode, writeMode)
-	t.mc.foldOp(t.id, opFAA, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(d), uint64(old))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFAA, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Val: d, Old: old})
@@ -312,7 +293,6 @@ func (t *Thread) FetchAdd(l view.Loc, d int64, readMode, writeMode memory.Mode) 
 func (t *Thread) Exchange(l view.Loc, v int64, readMode, writeMode memory.Mode) int64 {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, _ := t.updateChecked(l, func(int64) (int64, bool) { return v, true }, readMode, writeMode)
-	t.mc.foldOp(t.id, opXchg, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(v), uint64(old))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepXchg, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Val: v, Old: old})
@@ -324,7 +304,6 @@ func (t *Thread) Exchange(l view.Loc, v int64, readMode, writeMode memory.Mode) 
 func (t *Thread) Update(l view.Loc, f memory.UpdateFunc, readMode, writeMode memory.Mode) (int64, bool) {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, wrote := t.updateChecked(l, f, readMode, writeMode)
-	t.mc.foldOp(t.id, opUpdate, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(old), b2u(wrote))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepUpdate, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Old: old, OK: wrote})
@@ -350,10 +329,6 @@ func (t *Thread) updateChecked(l view.Loc, f memory.UpdateFunc, readMode, writeM
 // yield so other threads can make progress under any strategy.
 func (t *Thread) Yield() {
 	t.step(memory.Access{Kind: memory.AccNone})
-	// Folded into the op history even though memory is untouched: a yield
-	// advances the thread's program position, and dedup soundness rests on
-	// the op history pinning that position.
-	t.mc.foldOp(t.id, opYield)
 }
 
 // Report records a named outcome value for this execution (e.g. the value
@@ -361,7 +336,6 @@ func (t *Thread) Yield() {
 func (t *Thread) Report(name string, v int64) {
 	t.step(memory.Access{Kind: memory.AccReport, Name: name})
 	t.mc.outcome[name] = v
-	t.mc.foldOp(t.id, opReport, strHash(name), uint64(v))
 }
 
 // Failf aborts the execution, marking it Failed. Used by programs to
@@ -411,19 +385,6 @@ type controller struct {
 	// plan is the static access-plan oracle (only under PORSource with a
 	// matching Runner.Plan); nil means no static knowledge.
 	plan *memory.PlanOracle
-	// State-space dedup (only when Runner.Dedup is set and the strategy
-	// replays a prefix — see freeDecider). opHist[tid] is the rolling
-	// 2-lane hash of every operation thread tid has completed, with its
-	// observed results; together with the canonical memory + view
-	// encoding it pins the thread's local continuation (thread bodies are
-	// deterministic functions of their observation sequence). locCanon
-	// maps raw locations to their stable canonical IDs (see
-	// memory.CanonLocID), assigned at Alloc. canonBuf is the reused
-	// encoding scratch.
-	dedup    *Dedup
-	opHist   [][2]uint64
-	locCanon []uint64
-	canonBuf []byte
 }
 
 // porCandidates filters the runnable threads down to those not asleep and
@@ -554,15 +515,6 @@ type Runner struct {
 	// consulting it never loses a reachable outcome; with Plan nil the
 	// explorer behaves bit-identically to the plan-less one.
 	Plan *memory.Plan
-	// Dedup, when non-nil, is the shared visited set of canonical state
-	// fingerprints: at every free scheduling decision (one the strategy is
-	// not replaying from a pinned prefix — see freeDecider) the runner
-	// fingerprints the full machine state and cuts the run as Deduped if
-	// the fingerprint was already claimed by an earlier run. Only
-	// consulted when the strategy implements freeDecider (the explorers'
-	// TraceStrategy does; random strategies never dedup). Safe to share
-	// one Dedup across concurrent Runners of the same exploration.
-	Dedup *Dedup
 }
 
 // Run executes prog under the given strategy and returns the result.
@@ -609,14 +561,6 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		c.floors = make([]view.Time, nw+1)
 		if r.Plan != nil && (prog.Name == "" || r.Plan.Program == prog.Name) {
 			c.plan = memory.NewPlanOracle(r.Plan, c.mem)
-		}
-	}
-	var freeStrat freeDecider
-	if r.Dedup != nil {
-		if fd, ok := strat.(freeDecider); ok {
-			freeStrat = fd
-			c.dedup = r.Dedup
-			c.opHist = make([][2]uint64, nw+1)
 		}
 	}
 
@@ -686,10 +630,6 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		states[i] = unstarted
 	}
 	runBuf := make([]int, 0, nw+1) // runnable-thread scratch, reused per decision
-	var tvScratch []*memory.ThreadView
-	if c.dedup != nil {
-		tvScratch = make([]*memory.ThreadView, nw+1)
-	}
 	var final *Result
 	finish := func(st Status, err error) {
 		final = &Result{Status: st, Err: err, Mem: c.mem, Steps: c.steps, Outcome: c.outcome, Events: c.trace}
@@ -774,26 +714,6 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 				if i := c.forceInvisible(cand); i >= 0 {
 					cand = cand[i : i+1]
 				}
-			}
-		}
-		if c.dedup != nil && freeStrat.FreeDecisions() {
-			// Fingerprint the state at every free scheduling decision —
-			// prefix-pinned decisions were claimed by the run that pushed
-			// the prefix, so checking only free ones keeps the set of
-			// checked points a deterministic function of each decision
-			// path (and therefore run counts identical serial vs parallel).
-			buf := c.canonBuf[:0]
-			for _, s := range states {
-				buf = append(buf, byte(s))
-			}
-			for i, t := range threads {
-				tvScratch[i] = t.tv
-			}
-			buf = c.appendDedupState(buf, tvScratch)
-			c.canonBuf = buf
-			if c.dedup.checkAndMark(buf, r.Stats) {
-				finish(Deduped, nil)
-				break
 			}
 		}
 		idx := 0

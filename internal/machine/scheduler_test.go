@@ -41,8 +41,6 @@ func waitGoroutines(t *testing.T, base int) {
 // outlives its execution.
 func TestTeardownUnwindsParkedThreads(t *testing.T) {
 	const runs = 1000
-	warm := NewDedup(DefaultDedupCap)
-	(&Runner{Dedup: warm}).Run(disjointProgram(), ReplayStrategy(nil))
 	cases := []struct {
 		name   string
 		runner Runner
@@ -95,15 +93,6 @@ func TestTeardownUnwindsParkedThreads(t *testing.T) {
 			prog:   disjointProgram,
 			strat:  func(int) Strategy { return ReplayStrategy([]Decision{{N: 2, Pick: 1}}) },
 			want:   Pruned,
-		},
-		{
-			// The warm-up run claimed every state on this path, so the
-			// first free decision is already visited.
-			name:   "deduped",
-			runner: Runner{Dedup: warm},
-			prog:   disjointProgram,
-			strat:  func(int) Strategy { return ReplayStrategy(nil) },
-			want:   Deduped,
 		},
 	}
 	for _, tc := range cases {

@@ -114,11 +114,6 @@ func (s *TraceStrategy) PickThread(runnable []int) int { return s.next(len(runna
 // Choose replays or defaults the next read choice.
 func (s *TraceStrategy) Choose(n int) int { return s.next(n) }
 
-// FreeDecisions reports whether the replay prefix is exhausted, i.e.
-// subsequent decisions are free rather than pinned. The runner's dedup
-// check fires only at free decisions (see Runner.Dedup).
-func (s *TraceStrategy) FreeDecisions() bool { return s.pos >= len(s.prefix) }
-
 // ExploreOpts bounds an exhaustive exploration.
 type ExploreOpts struct {
 	// MaxRuns caps the number of executions (default 200000).
@@ -181,14 +176,6 @@ type ExploreOpts struct {
 	// shrinking Runs at provably identical outcome sets. Ignored in the
 	// other POR modes.
 	Plan *memory.Plan
-	// Dedup, when non-nil, is the shared visited set of canonical state
-	// fingerprints installed into every execution's Runner (see
-	// Runner.Dedup): runs reaching an already-claimed state are cut as
-	// Deduped, shrinking Runs at provably identical outcome sets across
-	// every POR mode. The same Dedup must be reused across the segments
-	// of one paused/resumed exploration (serialize it with the frontier);
-	// sharing it across unrelated explorations is unsound.
-	Dedup *Dedup
 }
 
 // ExploreResult summarizes an exploration.
@@ -219,7 +206,7 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if maxRuns <= 0 {
 		maxRuns = 200000
 	}
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan}
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
@@ -388,7 +375,7 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
-	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
+	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, POR: e.opts.POR, Plan: e.opts.Plan}
 	for {
 		prefix, ok := e.next()
 		if !ok {
@@ -456,7 +443,7 @@ func (s *Recorded) Choose(n int) int {
 // RunRandomOpt executes the program n times with seeds seed, seed+1, ...,
 // invoking visit for each result, and returns the number of executions
 // that completed with status OK. The runner is built exactly as the
-// explorers build theirs — Budget, Trace, Stats, POR, Plan and Dedup all
+// explorers build theirs — Budget, Trace, Stats, POR and Plan all
 // taken from opts — and every execution is accounted with one ExecDone,
 // so telemetry totals equal what visit observed. MaxRuns, MaxDepth,
 // Workers, Resume, and PauseRuns are exploration-tree concepts and are
@@ -464,7 +451,7 @@ func (s *Recorded) Choose(n int) int {
 //
 //compass:accounting
 func RunRandomOpt(build func() Program, n int, seed int64, opts ExploreOpts, visit func(*Result) bool) int {
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan}
 	ok := 0
 	for i := 0; i < n; i++ {
 		r := runner.Run(build(), NewRandom(seed+int64(i)))

@@ -33,10 +33,10 @@ func buildSB() Program {
 func TestStatusNamesMatchTelemetry(t *testing.T) {
 	// telemetry cannot import machine, so its status-name table is pinned
 	// by hand; this is the cross-check keeping the two in sync.
-	if telemetry.NumStatuses != int(Deduped)+1 {
-		t.Fatalf("telemetry tracks %d statuses, machine has %d", telemetry.NumStatuses, int(Deduped)+1)
+	if telemetry.NumStatuses != int(Pruned)+1 {
+		t.Fatalf("telemetry tracks %d statuses, machine has %d", telemetry.NumStatuses, int(Pruned)+1)
 	}
-	for s := OK; s <= Deduped; s++ {
+	for s := OK; s <= Pruned; s++ {
 		if got := telemetry.StatusName(uint8(s)); got != s.String() {
 			t.Fatalf("status %d: telemetry name %q != machine name %q", s, got, s.String())
 		}

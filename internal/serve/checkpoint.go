@@ -14,13 +14,13 @@ import (
 // CheckpointVersion identifies the checkpoint file layout; bump on
 // breaking changes so a daemon never misreads state written by an
 // incompatible build.
-const CheckpointVersion = 2
+const CheckpointVersion = 3
 
 // Checkpoint is the durable state of one job at a quiescent pause point:
 // everything a restarted compassd needs to continue the job — or to
 // refuse it as stale. Engine holds the kind-specific resumable state
 // (the frontier of pinned decision prefixes plus the partial
-// report/histogram); Telemetry is the cumulative compass/telemetry/v2
+// report/histogram); Telemetry is the cumulative compass/telemetry/v3
 // snapshot, restored via telemetry.Restore so the resumed job continues
 // the same monotone stream.
 type Checkpoint struct {
@@ -44,10 +44,12 @@ type Checkpoint struct {
 }
 
 // Store persists checkpoints in a state directory, one JSON file per
-// job, written atomically: the bytes go to a temp file in the same
-// directory which is then renamed over the target, so a kill at any
-// instant leaves either the previous or the new checkpoint — a torn
-// write can only ever be a leftover .tmp file, which loading ignores.
+// job, written atomically and durably: the bytes go to a temp file in the
+// same directory, which is synced and then renamed over the target, and
+// the directory is synced after the rename. A kill or a power loss at any
+// instant leaves either the previous or the new checkpoint, and a
+// completed Save survives both. A torn write can only ever be a leftover
+// .tmp file, which loading ignores.
 type Store struct {
 	dir string
 }
@@ -83,7 +85,8 @@ func validJobID(id string) bool {
 	return true
 }
 
-// Save writes the checkpoint atomically and returns the encoded size.
+// Save writes the checkpoint atomically and durably and returns the
+// encoded size.
 func (st *Store) Save(cp *Checkpoint) (int64, error) {
 	if !validJobID(cp.JobID) {
 		return 0, fmt.Errorf("invalid job id %q", cp.JobID)
@@ -96,14 +99,49 @@ func (st *Store) Save(cp *Checkpoint) (int64, error) {
 	}
 	data = append(data, '\n')
 	tmp := st.path(cp.JobID) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSynced(tmp, data); err != nil {
+		os.Remove(tmp)
 		return 0, err
 	}
 	if err := os.Rename(tmp, st.path(cp.JobID)); err != nil {
 		os.Remove(tmp)
 		return 0, err
 	}
+	// The rename is durable only once the directory entry is on disk.
+	if err := syncDir(st.dir); err != nil {
+		return 0, err
+	}
 	return int64(len(data)), nil
+}
+
+// writeSynced writes data to a fresh file at path and fsyncs it before
+// closing, so the bytes are on disk before any rename publishes them.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads and validates one checkpoint. A checkpoint is refused as

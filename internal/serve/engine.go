@@ -131,11 +131,6 @@ func newEngine(sp JobSpec, w Workload, stats *telemetry.Stats, state json.RawMes
 				return nil, fmt.Errorf("litmus state: %w", err)
 			}
 		}
-		// A restored state carries its own visited set; a fresh dedup job
-		// starts an empty one.
-		if sp.Dedup && e.job.Dedup == nil {
-			e.job.Dedup = machine.NewDedup(sp.DedupCap)
-		}
 		return e, nil
 	case sp.Mode == ModeRandom:
 		e := &randomEngine{spec: sp, test: w.Lib, stats: stats, rep: &ReportState{}}
@@ -154,10 +149,6 @@ func newEngine(sp JobSpec, w Workload, stats *telemetry.Stats, state json.RawMes
 			}
 			e.job = check.ResumeExhaustJob(restoreReport(w.Name, st.Report), st.Frontier)
 			e.job.Done = st.Done
-			e.dedup = st.Dedup
-		}
-		if sp.Dedup && e.dedup == nil {
-			e.dedup = machine.NewDedup(sp.DedupCap)
 		}
 		return e, nil
 	}
@@ -238,11 +229,7 @@ func (e *litmusEngine) finishShard() {
 type exhaustState struct {
 	Report   *ReportState      `json:"report"`
 	Frontier *machine.Frontier `json:"frontier,omitempty"`
-	// Dedup is the visited set of canonical state fingerprints, carried
-	// across segments so a resumed dedup job never re-claims states a
-	// pre-pause segment covered.
-	Dedup *machine.Dedup `json:"dedup,omitempty"`
-	Done  bool           `json:"done"`
+	Done     bool              `json:"done"`
 }
 
 // exhaustEngine drives one library workload exhaustively through
@@ -252,7 +239,6 @@ type exhaustEngine struct {
 	test  litmus.LibTest
 	stats *telemetry.Stats
 	job   *check.ExhaustJob
-	dedup *machine.Dedup
 }
 
 func (e *exhaustEngine) options() check.Options {
@@ -266,7 +252,6 @@ func (e *exhaustEngine) options() check.Options {
 		Workers:     e.spec.Workers,
 		POR:         e.spec.porMode(),
 		Stats:       e.stats,
-		Dedup:       e.dedup,
 	}
 }
 
@@ -278,7 +263,6 @@ func (e *exhaustEngine) state() (json.RawMessage, error) {
 	return json.Marshal(exhaustState{
 		Report:   projectReport(e.job.Report),
 		Frontier: e.job.Frontier,
-		Dedup:    e.dedup,
 		Done:     e.job.Done,
 	})
 }

@@ -25,7 +25,7 @@ const (
 //	POST /v1/jobs                submit a JobSpec, returns the JobView (202)
 //	GET  /v1/jobs                list all jobs
 //	GET  /v1/jobs/{id}           one job's status/result
-//	GET  /v1/jobs/{id}/events    NDJSON stream: one compass/telemetry/v2
+//	GET  /v1/jobs/{id}/events    NDJSON stream: one compass/telemetry/v3
 //	                             snapshot per completed segment, closing
 //	                             with the final totals when the job ends
 //	GET  /v1/workloads           registry names
@@ -39,7 +39,10 @@ const (
 // pre-versioning unversioned paths (POST /jobs, GET /jobs, ...) remain
 // as deprecated aliases answering identically plus a "Deprecation: true"
 // header and a Link to their /v1 successor; the lease endpoints are
-// /v1-only (they postdate versioning).
+// /v1-only (they postdate versioning). A job submission that sets the
+// deprecated no-op JobSpec fields dedup or dedup_cap is, once accepted,
+// also answered with "Deprecation: true"; the job runs as if they were
+// absent. A refused submission gets no such header.
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	// handle registers the /v1 route and, when alias is set, the legacy
@@ -62,6 +65,7 @@ func Handler(m *Manager) http.Handler {
 			httpError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode job spec: %w", err))
 			return
 		}
+		deprecated := spec.Dedup || spec.DedupCap != 0
 		j, err := m.Submit(spec)
 		if err != nil {
 			if errors.Is(err, ErrShuttingDown) {
@@ -70,6 +74,9 @@ func Handler(m *Manager) http.Handler {
 			}
 			httpError(w, http.StatusBadRequest, codeBadRequest, err)
 			return
+		}
+		if deprecated {
+			w.Header().Set("Deprecation", "true")
 		}
 		writeJSON(w, http.StatusAccepted, j.View())
 	})
@@ -163,7 +170,7 @@ func Handler(m *Manager) http.Handler {
 }
 
 // streamEvents writes the job's telemetry stream as NDJSON: each line is
-// one complete compass/telemetry/v2 snapshot (the same schema statcheck
+// one complete compass/telemetry/v3 snapshot (the same schema statcheck
 // validates), flushed per event. The stream ends when the job reaches a
 // terminal state or the client disconnects.
 func streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {

@@ -301,3 +301,53 @@ func TestHTTPV1LeaseRoundTrip(t *testing.T) {
 		t.Fatalf("status %s (err %q), want done", v.Status, v.Error)
 	}
 }
+
+// TestHTTPDeprecatedDedupFields: a submission that sets the deprecated
+// no-op fields dedup or dedup_cap is accepted and answered with a
+// Deprecation header; one without them is not, and neither is a refused
+// one that sets them. Both accepted jobs get the same spec hash, because
+// Normalize drops the fields.
+func TestHTTPDeprecatedDedupFields(t *testing.T) {
+	t.Parallel()
+	srv, _ := newTestServer(t)
+	submit := func(body string) (JobView, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s: status %d", body, resp.StatusCode)
+		}
+		var view JobView
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			t.Fatal(err)
+		}
+		return view, resp.Header.Get("Deprecation")
+	}
+	old, dep := submit(`{"workload":"litmus/SB","por":"sleep","dedup":true,"dedup_cap":64}`)
+	if dep != "true" {
+		t.Errorf("dedup request: Deprecation header = %q, want \"true\"", dep)
+	}
+	plain, dep := submit(`{"workload":"litmus/SB","por":"sleep"}`)
+	if dep != "" {
+		t.Errorf("plain request: unexpected Deprecation header %q", dep)
+	}
+	if old.Spec.Dedup || old.Spec.DedupCap != 0 {
+		t.Errorf("job view keeps the deprecated fields: %+v", old.Spec)
+	}
+	if old.Spec.Hash() != plain.Spec.Hash() {
+		t.Errorf("spec hash %s with dedup, %s without", old.Spec.Hash(), plain.Spec.Hash())
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"litmus/nope","dedup":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Deprecation") != "" {
+		t.Errorf("refused dedup request: status %d, Deprecation %q; want 400 and no header",
+			resp.StatusCode, resp.Header.Get("Deprecation"))
+	}
+}

@@ -20,7 +20,7 @@
 // i-th execution uses Seed+i regardless of segmentation — with the same
 // identity.
 //
-// Telemetry streams in the compass/telemetry/v2 snapshot
+// Telemetry streams in the compass/telemetry/v3 snapshot
 // schema: one snapshot per completed segment on /jobs/{id}/events, each
 // line independently valid against telemetry.ValidateSnapshotJSON.
 package serve
@@ -73,14 +73,15 @@ type JobSpec struct {
 	KeepGoing bool `json:"keep_going,omitempty"`
 	// MaxFailures is the library early-stop threshold (0 = check default).
 	MaxFailures int `json:"max_failures,omitempty"`
-	// Dedup enables state-space deduplication on exhaustive jobs: runs
-	// reaching a canonical state an earlier run claimed are cut short.
-	// The outcome set and verdict are identical either way; the run
-	// counts and histogram shrink, so — unlike Workers — this knob is
-	// semantic and part of the spec hash.
+	// Dedup and DedupCap are still decoded so older clients keep
+	// working, but state-space dedup was removed: Normalize zeroes both,
+	// so they reach neither the spec hash, the checkpoint nor the job
+	// view, and the HTTP API answers a request that sets them with a
+	// Deprecation header.
+	//
+	// Deprecated: ignored; removed in v1.4.
 	Dedup bool `json:"dedup,omitempty"`
-	// DedupCap bounds the dedup visited set (0 = machine.DefaultDedupCap).
-	// Semantic: evictions change which runs are cut.
+	// Deprecated: ignored; removed in v1.4.
 	DedupCap int `json:"dedup_cap,omitempty"`
 
 	// Workers is the exploration worker count for this job (0 = the
@@ -130,21 +131,10 @@ func (s JobSpec) Normalize() (JobSpec, Workload, error) {
 	if w.Kind == KindLib && s.Budget == 0 {
 		s.Budget = 4000
 	}
-	if s.Dedup && s.Mode != ModeExhaustive {
-		return s, w, fmt.Errorf("workload %s: dedup requires exhaustive mode", s.Workload)
-	}
-	if !s.Dedup && s.DedupCap != 0 {
-		return s, w, fmt.Errorf("workload %s: dedup_cap set without dedup", s.Workload)
-	}
+	s.Dedup, s.DedupCap = false, 0
 	if s.Coordinator {
 		if s.Mode != ModeExhaustive {
 			return s, w, fmt.Errorf("workload %s: only exhaustive jobs shard across processes", s.Workload)
-		}
-		if s.Dedup {
-			// The visited set is process-local; per-peer sets would make
-			// the merged histogram depend on the lease partition, breaking
-			// the byte-identity guarantee sharding promises.
-			return s, w, fmt.Errorf("workload %s: dedup and coordinator are mutually exclusive", s.Workload)
 		}
 		if s.MaxRuns != 0 {
 			// A cross-process run bound cannot be enforced without making
@@ -171,8 +161,7 @@ func (s JobSpec) porMode() check.PORMode {
 
 // Hash is the semantic identity of the job: the sha256 of the canonical
 // spec JSON with the non-semantic scheduling knobs (Workers,
-// CheckpointEvery, Coordinator, and the lease tuning) zeroed. Dedup and
-// DedupCap stay in: they change the run counts and histogram. A
+// CheckpointEvery, Coordinator, and the lease tuning) zeroed. A
 // checkpoint is resumable exactly when its recorded hash matches its
 // recorded spec — re-sharding is fine, a drifted workload definition or
 // edited spec is refused as stale.

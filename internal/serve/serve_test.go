@@ -337,42 +337,89 @@ func TestStoreRefusesStaleAndTorn(t *testing.T) {
 }
 
 // TestResumeRefusesPreviousGeneration pins the one-diagnostic policy for
-// checkpoints of the previous format generation. testdata/v1_checkpoint.json
-// is a paused litmus/IRIW job written by a version-1 compassd; its embedded
-// compass/telemetry/v1 snapshot carries machine counters the current
-// snapshot type no longer has. Resume must refuse it through the version
-// check alone: one stale-version error, nothing resumed or finished.
+// checkpoints of earlier format generations. testdata/v1_checkpoint.json
+// is a paused litmus/IRIW job written by a version-1 compassd; its
+// embedded compass/telemetry/v1 snapshot carries machine counters the
+// current snapshot type no longer has. testdata/v2_checkpoint.json is a
+// paused litmus/SB job submitted with "dedup": true to a version-2
+// compassd, carrying the dedup visited set in its engine state. Resume
+// must refuse each through the version check alone: one stale-version
+// error, nothing resumed or finished.
 func TestResumeRefusesPreviousGeneration(t *testing.T) {
 	t.Parallel()
-	data, err := os.ReadFile(filepath.Join("testdata", "v1_checkpoint.json"))
-	if err != nil {
-		t.Fatal(err)
+	for _, gen := range []int{1, 2} {
+		data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("v%d_checkpoint.json", gen)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var head struct {
+			JobID string `json:"job_id"`
+		}
+		if err := json.Unmarshal(data, &head); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, head.JobID+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManager(Config{StateDir: dir, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, finished, errs := m.Resume()
+		m.Wait()
+		if resumed != 0 || finished != 0 {
+			t.Errorf("v%d: resumed %d finished %d, want 0/0", gen, resumed, finished)
+		}
+		if len(errs) != 1 {
+			t.Fatalf("v%d: resume reported %d errors, want exactly 1: %v", gen, len(errs), errs)
+		}
+		want := fmt.Sprintf("stale format version %d (want %d)", gen, CheckpointVersion)
+		if !strings.Contains(errs[0].Error(), want) {
+			t.Errorf("v%d: err = %v, want %q", gen, errs[0], want)
+		}
 	}
-	var head struct {
-		JobID string `json:"job_id"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestSaveFailureLeavesNoTemp: a Save whose rename fails (a directory
+// sits at the target path) reports the error, leaves no .tmp file behind,
+// and leaves the checkpoints already committed to the store loadable.
+func TestSaveFailureLeavesNoTemp(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, head.JobID+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewManager(Config{StateDir: dir, Workers: 1})
+	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, finished, errs := m.Resume()
-	m.Wait()
-	if resumed != 0 || finished != 0 {
-		t.Errorf("resumed %d finished %d, want 0/0", resumed, finished)
+	spec, _, err := JobSpec{Workload: "litmus/SB"}.Normalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(errs) != 1 {
-		t.Fatalf("resume reported %d errors, want exactly 1: %v", len(errs), errs)
+	engine := json.RawMessage(`{"runs":3,"outcomes":{}}`)
+	if _, err := st.Save(&Checkpoint{JobID: "job-a", Spec: spec, Runs: 3, Engine: engine}); err != nil {
+		t.Fatalf("save: %v", err)
 	}
-	want := fmt.Sprintf("stale format version 1 (want %d)", CheckpointVersion)
-	if !strings.Contains(errs[0].Error(), want) {
-		t.Errorf("err = %v, want %q", errs[0], want)
+	if err := os.Mkdir(filepath.Join(dir, "job-b.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save(&Checkpoint{JobID: "job-b", Spec: spec, Runs: 3, Engine: engine}); err == nil {
+		t.Fatal("save over a directory succeeded, want a rename error")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Errorf("failed save left %s behind", e.Name())
+		}
+	}
+	cp, err := st.Load("job-a")
+	if err != nil {
+		t.Fatalf("previous checkpoint no longer loads: %v", err)
+	}
+	if cp.Runs != 3 {
+		t.Errorf("previous checkpoint runs = %d, want 3", cp.Runs)
 	}
 }
 
@@ -440,13 +487,17 @@ func TestSpecHashIgnoresScheduling(t *testing.T) {
 	if a.Hash() != d.Hash() {
 		t.Error("hash depends on sharding knobs")
 	}
-	// Dedup changes the execution count the checkpoint carries: semantic.
-	e := JobSpec{Workload: "litmus/SB", POR: "sleep", Dedup: true}
-	if a.Hash() == e.Hash() {
-		t.Error("hash ignores semantic field Dedup")
+	// The deprecated dedup fields are dropped by Normalize, so they never
+	// reach the hash.
+	e, _, err := JobSpec{Workload: "litmus/SB", POR: "sleep", Dedup: true, DedupCap: 64}.Normalize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := JobSpec{Workload: "litmus/SB", POR: "sleep", Dedup: true, DedupCap: 64}
-	if e.Hash() == f.Hash() {
-		t.Error("hash ignores semantic field DedupCap")
+	na, _, err := a.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Dedup || e.DedupCap != 0 || na.Hash() != e.Hash() {
+		t.Errorf("normalized spec %+v keeps the deprecated dedup fields", e)
 	}
 }

@@ -68,9 +68,6 @@ func Restore(snap Snapshot) (*Stats, error) {
 	e.PlanSites.Add(snap.Explore.PlanSites)
 	e.PlanChecks.Add(snap.Explore.PlanChecks)
 	e.PlanConflictsRefuted.Add(snap.Explore.PlanConflictsRefuted)
-	e.DedupStates.Add(snap.Explore.DedupStates)
-	e.DedupHits.Add(snap.Explore.DedupHits)
-	e.DedupEvictions.Add(snap.Explore.DedupEvictions)
 
 	f := &s.Fuzz
 	f.Programs.Add(snap.Fuzz.Programs)

@@ -30,13 +30,13 @@ import (
 // SnapshotSchema identifies the JSON snapshot layout; bump on breaking
 // changes so downstream consumers (CI validation, dashboards) can reject
 // snapshots they do not understand.
-const SnapshotSchema = "compass/telemetry/v2"
+const SnapshotSchema = "compass/telemetry/v3"
 
 // statusNames mirrors machine.Status.String() for the snapshot's
 // by-status map. telemetry cannot import machine (machine imports
 // telemetry), so the mapping is pinned here and cross-checked by a test
 // in the machine package.
-var statusNames = [...]string{"ok", "racy", "budget", "failed", "pruned", "deduped"}
+var statusNames = [...]string{"ok", "racy", "budget", "failed", "pruned"}
 
 // NumStatuses is the number of execution statuses tracked by ExecDone.
 const NumStatuses = len(statusNames)
@@ -248,19 +248,6 @@ type ExploreStats struct {
 	// (and therefore a spurious backtrack point). Always ≤ PlanChecks,
 	// which the snapshot validator enforces.
 	PlanConflictsRefuted Counter
-	// DedupStates counts distinct canonical state fingerprints entered
-	// into the dedup visited set (first arrivals / misses).
-	DedupStates Counter
-	// DedupHits counts arrivals at an already-claimed fingerprint, each
-	// cutting one run short with machine.Deduped.
-	DedupHits Counter
-	// DedupEvictions counts fingerprints dropped by the visited set's
-	// LRU memory cap. A nonzero count means dedup ran lossy: evicted
-	// states can be re-claimed and their subtrees re-explored (still
-	// sound, just less pruning — and run counts may then depend on
-	// arrival order, so equivalence tests size their caps to keep this
-	// zero).
-	DedupEvictions Counter
 }
 
 // FuzzStats instruments a differential-fuzzing campaign.
@@ -458,33 +445,6 @@ func (s *Stats) PlanConflictRefuted() {
 	s.Explore.PlanConflictsRefuted.Inc()
 }
 
-// DedupMiss records a first arrival at a canonical state fingerprint
-// (the state is entered into the visited set and its subtree explored).
-func (s *Stats) DedupMiss() {
-	if s == nil {
-		return
-	}
-	s.Explore.DedupStates.Inc()
-}
-
-// DedupHit records an arrival at an already-claimed fingerprint (the run
-// is cut short as machine.Deduped).
-func (s *Stats) DedupHit() {
-	if s == nil {
-		return
-	}
-	s.Explore.DedupHits.Inc()
-}
-
-// DedupEvicted records one fingerprint dropped by the visited set's LRU
-// memory cap.
-func (s *Stats) DedupEvicted() {
-	if s == nil {
-		return
-	}
-	s.Explore.DedupEvictions.Inc()
-}
-
 // FuzzProgram records one generated campaign program.
 func (s *Stats) FuzzProgram() {
 	if s == nil {
@@ -587,9 +547,6 @@ func (s *Stats) Merge(o *Stats) {
 	e.PlanSites.Add(oe.PlanSites.Load())
 	e.PlanChecks.Add(oe.PlanChecks.Load())
 	e.PlanConflictsRefuted.Add(oe.PlanConflictsRefuted.Load())
-	e.DedupStates.Add(oe.DedupStates.Load())
-	e.DedupHits.Add(oe.DedupHits.Load())
-	e.DedupEvictions.Add(oe.DedupEvictions.Load())
 	f, of := &s.Fuzz, &o.Fuzz
 	f.Programs.Add(of.Programs.Load())
 	f.Execs.Add(of.Execs.Load())
@@ -651,11 +608,16 @@ type ExploreSnapshot struct {
 	PlanSites            int64 `json:"plan_sites"`
 	PlanChecks           int64 `json:"plan_checks"`
 	PlanConflictsRefuted int64 `json:"plan_conflicts_refuted"`
-	// State-space dedup effectiveness (0 unless a visited set was
-	// installed; see machine.Dedup).
-	DedupStates    int64 `json:"dedup_states"`
-	DedupHits      int64 `json:"dedup_hits"`
-	DedupEvictions int64 `json:"dedup_evictions"`
+	// DedupStates, DedupHits and DedupEvictions counted the state-space
+	// dedup visited set, which was removed. They are always zero and are
+	// neither encoded nor decoded.
+	//
+	// Deprecated: always zero; removed in v1.4.
+	DedupStates int64 `json:"-"`
+	// Deprecated: always zero; removed in v1.4.
+	DedupHits int64 `json:"-"`
+	// Deprecated: always zero; removed in v1.4.
+	DedupEvictions int64 `json:"-"`
 }
 
 // FuzzSnapshot is the JSON form of FuzzStats.
@@ -739,9 +701,6 @@ func (s *Stats) Snapshot() Snapshot {
 		PlanSites:            e.PlanSites.Load(),
 		PlanChecks:           e.PlanChecks.Load(),
 		PlanConflictsRefuted: e.PlanConflictsRefuted.Load(),
-		DedupStates:          e.DedupStates.Load(),
-		DedupHits:            e.DedupHits.Load(),
-		DedupEvictions:       e.DedupEvictions.Load(),
 	}
 	f := &s.Fuzz
 	snap.Fuzz = FuzzSnapshot{
@@ -871,7 +830,6 @@ func ValidateSnapshotJSON(data []byte) error {
 		snap.Explore.PORRacesReversed, snap.Explore.PORStaleReadsSkipped,
 		snap.Explore.PORDisabledThreads, snap.Explore.WakeupTreeSize.Count,
 		snap.Explore.PlanSites, snap.Explore.PlanChecks, snap.Explore.PlanConflictsRefuted,
-		snap.Explore.DedupStates, snap.Explore.DedupHits, snap.Explore.DedupEvictions,
 		snap.Fuzz.Programs, snap.Fuzz.Execs, snap.Fuzz.Discarded, snap.Fuzz.Failures,
 		snap.Refine.TracesChecked, snap.Refine.Disagreements, snap.Refine.StateFanout.Count,
 		snap.Serve.JobsSubmitted, snap.Serve.JobsResumed, snap.Serve.JobsDone,

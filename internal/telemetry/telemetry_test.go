@@ -145,8 +145,8 @@ func TestValidateSnapshotRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
 		"not json":       "{",
 		"wrong schema":   `{"schema":"nope","machine":{"execs_by_status":{},"execs":0,"steps":0,"steps_per_exec":{"count":0,"sum":0,"max":0,"mean":0},"read_choices":0,"stale_reads":0,"stale_rate":0,"read_fanout":{"count":0,"sum":0,"max":0,"mean":0}},"explore":{"prefixes":0,"children":0,"prefix_depth":{"count":0,"sum":0,"max":0,"mean":0},"frontier_peak":0,"early_stops":0,"depth_capped":0},"fuzz":{"programs":0,"execs":0,"discarded":0,"failures":0,"shrink_attempts":0,"shrink_accepted":0,"artifacts":0}}`,
-		"unknown status": `{"schema":"compass/telemetry/v2","machine":{"execs_by_status":{"weird":1},"execs":1,"steps":0,"steps_per_exec":{"count":1,"sum":0,"max":0,"mean":0},"read_choices":0,"stale_reads":0,"stale_rate":0,"read_fanout":{"count":0,"sum":0,"max":0,"mean":0}},"explore":{"prefixes":0,"children":0,"prefix_depth":{"count":0,"sum":0,"max":0,"mean":0},"frontier_peak":0,"early_stops":0,"depth_capped":0},"fuzz":{"programs":0,"execs":0,"discarded":0,"failures":0,"shrink_attempts":0,"shrink_accepted":0,"artifacts":0}}`,
-		"total mismatch": `{"schema":"compass/telemetry/v2","machine":{"execs_by_status":{"ok":2},"execs":1,"steps":0,"steps_per_exec":{"count":1,"sum":0,"max":0,"mean":0},"read_choices":0,"stale_reads":0,"stale_rate":0,"read_fanout":{"count":0,"sum":0,"max":0,"mean":0}},"explore":{"prefixes":0,"children":0,"prefix_depth":{"count":0,"sum":0,"max":0,"mean":0},"frontier_peak":0,"early_stops":0,"depth_capped":0},"fuzz":{"programs":0,"execs":0,"discarded":0,"failures":0,"shrink_attempts":0,"shrink_accepted":0,"artifacts":0}}`,
+		"unknown status": `{"schema":"compass/telemetry/v3","machine":{"execs_by_status":{"weird":1},"execs":1,"steps":0,"steps_per_exec":{"count":1,"sum":0,"max":0,"mean":0},"read_choices":0,"stale_reads":0,"stale_rate":0,"read_fanout":{"count":0,"sum":0,"max":0,"mean":0}},"explore":{"prefixes":0,"children":0,"prefix_depth":{"count":0,"sum":0,"max":0,"mean":0},"frontier_peak":0,"early_stops":0,"depth_capped":0},"fuzz":{"programs":0,"execs":0,"discarded":0,"failures":0,"shrink_attempts":0,"shrink_accepted":0,"artifacts":0}}`,
+		"total mismatch": `{"schema":"compass/telemetry/v3","machine":{"execs_by_status":{"ok":2},"execs":1,"steps":0,"steps_per_exec":{"count":1,"sum":0,"max":0,"mean":0},"read_choices":0,"stale_reads":0,"stale_rate":0,"read_fanout":{"count":0,"sum":0,"max":0,"mean":0}},"explore":{"prefixes":0,"children":0,"prefix_depth":{"count":0,"sum":0,"max":0,"mean":0},"frontier_peak":0,"early_stops":0,"depth_capped":0},"fuzz":{"programs":0,"execs":0,"discarded":0,"failures":0,"shrink_attempts":0,"shrink_accepted":0,"artifacts":0}}`,
 	}
 	for name, data := range cases {
 		if err := ValidateSnapshotJSON([]byte(data)); err == nil {
